@@ -27,7 +27,7 @@ from .lattice import (
     skipped_windings,
     winding_bounds,
 )
-from .numtheory import binomial, divisors, extended_gcd, gcd, moebius, scaled_binomial
+from .numtheory import binomial, divisors, extended_gcd, gcd, moebius
 from .oracle import Orbit, connected_graphs, enumerate_orbits, phi, verify_range
 from .words import (
     WordDecomposition,
@@ -86,7 +86,6 @@ __all__ = [
     "phi",
     "predicted_repetition",
     "rotate",
-    "scaled_binomial",
     "skipped_windings",
     "sum_reduction_check",
     "to_step_string",

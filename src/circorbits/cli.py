@@ -215,6 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Counts are printed in full, however many digits they have: lift
+    # CPython's int/str digit limit (3.10.7 and later) while the command
+    # runs, and restore the caller's value afterwards.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except BudgetExceeded as exc:
@@ -226,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RejectedParameters, NotLatticePoint, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -1,13 +1,24 @@
 """Exact integer arithmetic shared by the counting formulas.
 
 Everything here is plain arbitrary-precision integer math; no floating
-point is used anywhere. Counts can be astronomically large (binomials
-such as C(360, 240)), so all routines stay exact.
+point is used anywhere, and every routine stays exact.
+
+Every count is a Moebius sum of binomials, so `binomial` is the hot path.
+It picks one of two methods from its inputs alone. With y = min(y, x - y),
+when y >= 400 and y * x.bit_length() >= x it multiplies the prime powers
+of C(x, y), given by Legendre's formula, in a balanced product tree, so
+the only big operation is Karatsuba multiplication (P. Goetgheluck,
+"Computing binomial coefficients", Amer. Math. Monthly 94, 1987).
+Otherwise it calls math.comb, which is faster there. The second condition
+keeps the prime sieve about as small as the result: C(10**9, 500) builds
+none.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import compress
 
 
 def gcd(a: int, b: int) -> int:
@@ -67,29 +78,67 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
+# (limit, primes): every prime <= limit, in increasing order. Built on
+# first use, never at import, and grown geometrically by rebinding the
+# name to a new pair, never by mutating the list, so a caller that holds
+# the old list keeps a valid one. Shared by every later binomial call.
+_sieve: tuple[int, list[int]] = (1, [])
+
+
+def _primes_upto(x: int) -> list[int]:
+    """A list of primes, in increasing order, that contains every prime <= x."""
+    global _sieve
+    limit, primes = _sieve
+    if limit < x:
+        limit = max(x, 2 * limit)
+        flags = bytearray([1]) * (limit + 1)
+        flags[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit) + 1):
+            if flags[p]:
+                flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+        primes = list(compress(range(limit + 1), flags))
+        _sieve = (limit, primes)
+    return primes
+
+
+def _product(factors: list[int]) -> int:
+    """Product of factors, multiplied pairwise so that operands stay balanced."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
 def binomial(x: int, y: int) -> int:
     """Exact binomial coefficient C(x, y) for x >= 0; zero when y < 0 or y > x.
 
-    Computed by the multiplicative formula with exact stepwise division,
-    so intermediates never exceed the final value times x.
+    With y = min(y, x - y): when y >= 400 and y * x.bit_length() >= x,
+    the result is the product of p**e over the primes p <= x, where e
+    sums x//p^i - y//p^i - (x-y)//p^i over the powers p^i <= x (Legendre).
+    Primes above x - y have e = 1, primes above x // 2 and at most x - y
+    have e = 0, and a prime above sqrt(x) has e = 1 exactly when
+    x % p < y % p (a carry when adding y and x - y in base p, Kummer).
+    Otherwise the result is math.comb(x, y).
     """
     if x < 0:
         raise ValueError(f"binomial needs x >= 0, got {x}")
     if y < 0 or y > x:
         return 0
     y = min(y, x - y)
-    result = 1
-    for i in range(1, y + 1):
-        result = result * (x - y + i) // i
-    return result
-
-
-def scaled_binomial(l: int, k: int, m: int) -> int:
-    """C(l/m, k/m) when m divides both l and k, else 0."""
-    if l < 1:
-        raise ValueError(f"scaled_binomial needs l >= 1, got {l}")
-    if m < 1:
-        raise ValueError(f"scaled_binomial needs m >= 1, got {m}")
-    if l % m or k % m:
-        return 0
-    return binomial(l // m, k // m)
+    if y < 400 or y * x.bit_length() < x:
+        return math.comb(x, y)
+    primes = _primes_upto(x)
+    root = bisect_right(primes, math.isqrt(x))
+    factors = primes[bisect_right(primes, x - y):bisect_right(primes, x)]
+    factors += [p for p in primes[root:bisect_right(primes, x // 2)] if x % p < y % p]
+    for p in primes[:root]:
+        e = 0
+        q = p
+        while q <= x:
+            e += x // q - y // q - (x - y) // q
+            q *= p
+        if e:
+            factors.append(p ** e)
+    return _product(factors)

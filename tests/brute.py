@@ -6,7 +6,7 @@ so agreement is meaningful.
 """
 
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 
 def naive_divisors(m):
@@ -87,6 +87,17 @@ def pascal_table(n_max):
         row.append(1)
         rows.append(row)
     return rows
+
+
+def scaled_binomial(l, k, m):
+    """C(l/m, k/m) when m divides both l and k and 0 <= k <= l, else 0."""
+    if l < 1:
+        raise ValueError(f"scaled_binomial needs l >= 1, got {l}")
+    if m < 1:
+        raise ValueError(f"scaled_binomial needs m >= 1, got {m}")
+    if l % m or k % m or not 0 <= k <= l:
+        return 0
+    return comb(l // m, k // m)
 
 
 def closed_lattice_scan(n, a, b, l):

@@ -163,6 +163,36 @@ def test_lyndon_count_big_class(capsys):
     assert len(out.strip()) >= 90  # roughly C(360,240)/360, far beyond 64-bit
 
 
+def _moebius_comb_sum(l, k, g):
+    return sum(moebius(m) * math.comb(l // m, k // m) for m in divisors(g))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("lyndon", "count", "--length", "20000", "--bcount", "10000"),
+     lambda: _moebius_comb_sum(20000, 10000, 10000) // 20000),
+    # omega = (36000 * 5 + 24000 * 9) / 440 = 900, so the sum runs over gcd 300.
+    (("count", "--n", "440", "--a", "5", "--b", "14", "--length", "36000", "--bcount", "24000"),
+     lambda: 440 * _moebius_comb_sum(36000, 24000, 300) // 36000),
+], ids=["lyndon", "count"])
+def test_counts_past_the_int_str_digit_limit_are_printed(capsys, argv, expected):
+    has_limit = hasattr(sys, "get_int_max_str_digits")
+    if has_limit:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        printed = json.loads(out)["count"] if argv[0] == "count" else out.strip()
+        if has_limit:
+            assert sys.get_int_max_str_digits() == 4321
+            sys.set_int_max_str_digits(0)
+        assert printed == str(expected())
+        assert len(printed) > 4321
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_lyndon_bad_bcount_exits_2(capsys):
     code, _, err = run_cli(capsys, "lyndon", "count", "--length", "3", "--bcount", "5")
     assert code == 2

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from circorbits import binomial, divisors, extended_gcd, gcd, moebius, scaled_binomial
+from circorbits import binomial, divisors, extended_gcd, gcd, moebius, numtheory
 
-from brute import pascal_table
+from brute import pascal_table, scaled_binomial
 
 
 def test_gcd_examples():
@@ -102,6 +102,55 @@ def test_binomial_satisfies_pascal_rule():
         if x:
             for y in range(1, x):
                 assert binomial(x, y) == binomial(x - 1, y - 1) + binomial(x - 1, y)
+
+
+@given(st.data())
+def test_binomial_equals_math_comb(data):
+    x = data.draw(st.integers(min_value=0, max_value=30000), label="x")
+    y = data.draw(st.integers(min_value=-2, max_value=x + 2), label="y")
+    assert binomial(x, y) == (math.comb(x, y) if 0 <= y <= x else 0)
+
+
+@pytest.mark.parametrize("x, y", [
+    (0, 0), (1, 1), (800, 399), (800, 400), (800, 401), (1000, 600), (1000, 1000),
+    (5000, 399), (5000, 400), (5000, 4600), (5000, 4601),
+    # 1000 * (14000).bit_length() == 14000: the prime method starts at equality.
+    (14000, 999), (14000, 1000), (14001, 1000), (30030, 15015),
+])
+def test_binomial_edges_equal_math_comb(x, y):
+    assert binomial(x, y) == math.comb(x, y)
+
+
+def test_binomial_method_follows_the_size_rule(monkeypatch):
+    monkeypatch.setattr(numtheory, "_sieve", (1, []))
+    for x, y in [(800, 399), (5000, 399), (14001, 1000), (14000, 13001)]:
+        binomial(x, y)
+    assert numtheory._sieve == (1, [])
+    binomial(800, 400)
+    assert numtheory._sieve[0] >= 800
+    binomial(14000, 1000)
+    assert numtheory._sieve[0] >= 14000
+
+
+def test_binomial_sieve_grows_and_is_reused(monkeypatch):
+    monkeypatch.setattr(numtheory, "_sieve", (1, []))
+    assert binomial(6000, 2500) == math.comb(6000, 2500)
+    grown = numtheory._sieve
+    assert grown[0] >= 6000 and grown[1][-1] == 5987
+    assert binomial(1200, 700) == math.comb(1200, 700)
+    assert numtheory._sieve is grown
+    assert binomial(25000, 12345) == math.comb(25000, 12345)
+    limit, primes = numtheory._sieve
+    assert limit >= 25000 and primes[:len(grown[1])] == grown[1]
+    assert grown[1][-1] == 5987, "growth must rebind the sieve, not extend the old list"
+    assert binomial(limit + 1, 9000) == math.comb(limit + 1, 9000)
+    assert numtheory._sieve[0] >= 2 * limit
+
+
+def test_binomial_small_y_with_huge_x_builds_no_sieve():
+    before = numtheory._sieve
+    assert binomial(10**9, 500) == math.comb(10**9, 500)
+    assert numtheory._sieve is before
 
 
 def test_scaled_binomial_examples():
