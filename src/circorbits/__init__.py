@@ -17,7 +17,7 @@ from .errors import (
     NotLatticePoint,
     RejectedParameters,
 )
-from .graph import Bond, Circuit, CirculantGraph, dot_graph
+from .graph import CirculantGraph, dot_graph
 from .lattice import (
     LatticeBasis,
     OrbitClass,
@@ -27,7 +27,7 @@ from .lattice import (
     skipped_windings,
     winding_bounds,
 )
-from .numtheory import binomial, divisors, extended_gcd, gcd, moebius
+from .numtheory import binomial, divisors, extended_gcd, moebius
 from .oracle import Orbit, connected_graphs, enumerate_orbits, phi, verify_range
 from .words import (
     WordDecomposition,
@@ -37,18 +37,13 @@ from .words import (
     decompose,
     is_lyndon,
     list_lyndon,
-    lyndon_rotation,
-    parse_word,
-    rotate,
     to_step_string,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bond",
     "BudgetExceeded",
-    "Circuit",
     "CirculantGraph",
     "CircorbitsError",
     "CountTerm",
@@ -76,16 +71,12 @@ __all__ = [
     "dot_graph",
     "enumerate_orbits",
     "extended_gcd",
-    "gcd",
     "is_lyndon",
     "lattice_points",
     "list_lyndon",
-    "lyndon_rotation",
     "moebius",
-    "parse_word",
     "phi",
     "predicted_repetition",
-    "rotate",
     "skipped_windings",
     "sum_reduction_check",
     "to_step_string",

@@ -6,14 +6,17 @@ and listing), enumerate (brute-force orbit listing), verify (formula vs.
 enumeration sweep) and graph (Graphviz DOT export).
 
 Exit codes are stable: 0 success, 1 verification mismatch, 2 parameter
-error, 3 disconnected graph, 4 budget exceeded. Counts inside JSON are
-decimal strings so consumers are not limited to 53-bit integers.
+error, 3 disconnected graph, 4 budget exceeded, and 141 from the
+`circorbits` entry point when the reader closes stdout early. Counts
+inside JSON are decimal strings so consumers are not limited to 53-bit
+integers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .counting import (
@@ -207,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="emit a circulant digraph as Graphviz DOT")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", required=True, help="comma-separated step sizes, e.g. 1,4")
-    p.add_argument("--format", choices=["dot"], default="dot")
     p.set_defaults(func=_cmd_graph)
 
     return parser
@@ -238,4 +240,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head -1`). Exit as a process
+        # killed by SIGPIPE would, and point stdout at os.devnull so the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

@@ -18,16 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import DoesNotClose, NotLatticePoint
+from .errors import NotLatticePoint
 from .graph import CirculantGraph
-from .lattice import OrbitClass, bcounts_for_length
-from .numtheory import binomial, divisors, moebius
-from .words import check_word, decompose
+from .lattice import bcounts_for_length
+from .numtheory import binomial, divisors, moebius_divisors
+from .words import check_lk, decompose
 
 METHOD_REDUCED = "reduced"
 METHOD_UNREDUCED = "unreduced"
-METHOD_ORACLE = "oracle"
-_METHODS = (METHOD_REDUCED, METHOD_UNREDUCED, METHOD_ORACLE)
 
 
 class CountTerm(NamedTuple):
@@ -60,16 +58,6 @@ class OrbitCountReport:
     terms: tuple[CountTerm, ...]
     method: str
 
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-
-    @property
-    def orbit_class(self) -> OrbitClass | None:
-        if self.omega is None:
-            return None
-        return OrbitClass(self.l, self.k, self.omega)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.graph.n,
@@ -84,11 +72,16 @@ class OrbitCountReport:
         }
 
 
-def _check_lk(l: int, k: int) -> None:
-    if l < 1:
-        raise ValueError(f"length must be >= 1, got {l}")
-    if not 0 <= k <= l:
-        raise ValueError(f"b-count must satisfy 0 <= k <= l, got k={k}, l={l}")
+def _winding(G: CirculantGraph, l: int, k: int) -> int | None:
+    """Winding number of the (l, k) class, or None when (l, k) is not a lattice point."""
+    G.require_connected()
+    check_lk(l, k)
+    delta = l * G.a + k * G.d
+    if delta % G.n:
+        return None
+    omega = delta // G.n
+    assert omega >= 1
+    return omega
 
 
 def _finish(G: CirculantGraph, l: int, k: int, omega: int,
@@ -106,18 +99,11 @@ def count_orbits_lk(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
     Returns a zero count with no terms when (l, k) is not a lattice point.
     Divisors with mu = 0 contribute nothing and are omitted from the terms.
     """
-    G.require_connected()
-    _check_lk(l, k)
-    delta = l * G.a + k * G.d
-    if delta % G.n:
+    omega = _winding(G, l, k)
+    if omega is None:
         return OrbitCountReport(G, l, k, None, 0, (), METHOD_REDUCED)
-    omega = delta // G.n
-    assert omega >= 1
-    terms = []
-    for m in divisors(math.gcd(l, k, omega)):
-        mu = moebius(m)
-        if mu:
-            terms.append(CountTerm(m, mu, binomial(l // m, k // m)))
+    terms = [CountTerm(m, mu, binomial(l // m, k // m))
+             for m, mu in moebius_divisors(math.gcd(l, k, omega))]
     return _finish(G, l, k, omega, terms, METHOD_REDUCED)
 
 
@@ -134,24 +120,15 @@ def count_orbits_lk_unreduced(G: CirculantGraph, l: int, k: int) -> OrbitCountRe
     the Moebius expansion of the Lyndon-word count at (l/q, k/q). Must
     equal count_orbits_lk; unlike it, requires (l, k) to be a lattice point.
     """
-    G.require_connected()
-    _check_lk(l, k)
-    delta = l * G.a + k * G.d
-    if delta % G.n:
+    omega = _winding(G, l, k)
+    if omega is None:
         raise NotLatticePoint(
             f"(l={l}, k={k}) is not a lattice point of C_{G.n}({G.a},{G.b})"
         )
-    omega = delta // G.n
-    assert omega >= 1
     gamma = math.gcd(l, k)
-    terms = []
-    for q in divisors(gamma):
-        if math.gcd(q, omega) != 1:
-            continue
-        for m in divisors(gamma // q):
-            mu = moebius(m)
-            if mu:
-                terms.append(CountTerm(m, mu, binomial(l // (q * m), k // (q * m)), q=q))
+    terms = [CountTerm(m, mu, binomial(l // (q * m), k // (q * m)), q=q)
+             for q in divisors(gamma) if math.gcd(q, omega) == 1
+             for m, mu in moebius_divisors(gamma // q)]
     return _finish(G, l, k, omega, terms, METHOD_UNREDUCED)
 
 
@@ -165,13 +142,9 @@ def sum_reduction_check(gamma: int, omega: int, f: Mapping[int, int]) -> tuple[i
     """
     if gamma < 1 or omega < 1:
         raise ValueError(f"gamma and omega must be >= 1, got ({gamma}, {omega})")
-    lhs = 0
-    for q in divisors(gamma):
-        if math.gcd(q, omega) != 1:
-            continue
-        for s in divisors(gamma // q):
-            lhs += moebius(s) * f[q * s]
-    rhs = sum(moebius(m) * f[m] for m in divisors(math.gcd(gamma, omega)))
+    lhs = sum(mu * f[q * s] for q in divisors(gamma) if math.gcd(q, omega) == 1
+              for s, mu in moebius_divisors(gamma // q))
+    rhs = sum(mu * f[m] for m, mu in moebius_divisors(math.gcd(gamma, omega)))
     return lhs, rhs
 
 
@@ -179,13 +152,7 @@ def predicted_repetition(G: CirculantGraph, w: str) -> int:
     """Repetition number the orbit of a closing word must have: gcd(r, omega).
 
     r is the repetition count of the word itself; the orbit is primitive
-    exactly when r is coprime to the winding number.
+    exactly when r is coprime to the winding number. Raises DoesNotClose
+    for a word that does not close.
     """
-    check_word(w)
-    delta = G.transit_distance(w)
-    if delta % G.n:
-        raise DoesNotClose(
-            f"word {w!r} has transit distance {delta}, not a multiple of n={G.n}"
-        )
-    omega = delta // G.n
-    return math.gcd(decompose(w).repetition, omega)
+    return math.gcd(decompose(w).repetition, G.winding_number(w))

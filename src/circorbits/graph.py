@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import DisconnectedGraph, DoesNotClose, RejectedParameters
 from .words import b_count, check_word
-
-
-class Bond(NamedTuple):
-    origin: int
-    step: int
-
-
-class Circuit(NamedTuple):
-    start: int
-    steps: str
 
 
 @dataclass(frozen=True)
@@ -60,29 +50,19 @@ class CirculantGraph:
                 f"gcd({self.n},{self.a},{self.b}) = {math.gcd(self.n, self.a, self.b)} != 1"
             )
 
-    def bonds(self) -> Iterator[Bond]:
-        for v in range(self.n):
-            yield Bond(v, self.a)
-            yield Bond(v, self.b)
-
-    def terminus(self, bond: Bond) -> int:
-        return (bond.origin + bond.step) % self.n
-
     def transit_distance(self, w: str) -> int:
         """Sum of step sizes along the word: (l-k)*a + k*b = l*a + k*d."""
         check_word(w)
         k = b_count(w)
         return (len(w) - k) * self.a + k * self.b
 
-    def closes(self, w: str) -> bool:
-        """True iff the word returns to its start vertex (independent of the start)."""
-        return self.transit_distance(w) % self.n == 0
-
-    def winding_number(self, w: str) -> int | None:
-        """Transit distance divided by n when the word closes; None otherwise."""
+    def winding_number(self, w: str) -> int:
+        """Transit distance over n; raises DoesNotClose unless the word closes (from any start)."""
         delta = self.transit_distance(w)
         if delta % self.n:
-            return None
+            raise DoesNotClose(
+                f"word {w!r} has transit distance {delta}, not a multiple of n={self.n}"
+            )
         return delta // self.n
 
     def path_from(self, v: int, w: str) -> list[int]:
@@ -94,15 +74,6 @@ class CirculantGraph:
             v = (v + (self.a if c == "a" else self.b)) % self.n
             out.append(v)
         return out
-
-    def circuit(self, start: int, w: str) -> Circuit:
-        """The closed walk from start with step word w; raises DoesNotClose otherwise."""
-        if not self.closes(w):
-            raise DoesNotClose(
-                f"word {w!r} has transit distance {self.transit_distance(w)}, "
-                f"not a multiple of n={self.n}"
-            )
-        return Circuit(start % self.n, w)
 
 
 def dot_graph(n: int, steps: Sequence[int]) -> str:

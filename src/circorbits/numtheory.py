@@ -3,6 +3,10 @@
 Everything here is plain arbitrary-precision integer math; no floating
 point is used anywhere, and every routine stays exact.
 
+`moebius_divisors` is the one Moebius-sum walk: every formula in the
+package sums over its (d, mu(d)) pairs, so no other module calls
+`moebius` or loops over `divisors` to build a Moebius sum.
+
 Every count is a Moebius sum of binomials, so `binomial` is the hot path.
 It picks one of two methods from its inputs alone. With y = min(y, x - y),
 when y >= 400 and y * x.bit_length() >= x it multiplies the prime powers
@@ -19,13 +23,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import compress
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers; gcd(0, 0) is undefined."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -76,6 +73,11 @@ def divisors(m: int) -> list[int]:
                 large.append(m // i)
         i += 1
     return small + large[::-1]
+
+
+def moebius_divisors(m: int) -> list[tuple[int, int]]:
+    """The pairs (d, mu(d)) over the divisors d of m >= 1 with mu(d) != 0, d increasing."""
+    return [(d, mu) for d in divisors(m) if (mu := moebius(d))]
 
 
 # (limit, primes): every prime <= limit, in increasing order. Built on

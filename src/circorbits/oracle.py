@@ -14,7 +14,6 @@ agreement and the repetition-number law against enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .counting import (
@@ -23,10 +22,10 @@ from .counting import (
     count_orbits_lk_unreduced,
     predicted_repetition,
 )
-from .errors import BudgetExceeded, DoesNotClose
+from .errors import BudgetExceeded
 from .graph import CirculantGraph
 from .numtheory import binomial
-from .words import check_word, default_budget, to_step_string
+from .words import check_lk, fixed_content_words, resolve_budget, to_step_string
 
 
 @dataclass(frozen=True)
@@ -84,23 +83,14 @@ def _orbit_repetition(G: CirculantGraph, w: str, rots: list[str], pre: list[int]
 
 def phi(G: CirculantGraph, w: str, v: int) -> Orbit:
     """Canonical periodic orbit of the circuit starting at v with step word w."""
-    check_word(w)
-    delta = G.transit_distance(w)
-    if delta % G.n:
-        raise DoesNotClose(
-            f"word {w!r} has transit distance {delta}, not a multiple of n={G.n}"
-        )
+    omega = G.winding_number(w)
     rots = _rotations(w)
     pre = _prefix_distances(G, w)
     presentations = [((v + pre[s]) % G.n, rots[s]) for s in range(len(w))]
     repetition = _orbit_repetition(G, w, rots, pre)
     assert len(set(presentations)) * repetition == len(w)
     start, steps = min(presentations)
-    return Orbit(start, steps, delta // G.n, repetition)
-
-
-def _closed_bcounts(G: CirculantGraph, l: int) -> list[int]:
-    return [k for k in range(l + 1) if (l * G.a + k * G.d) % G.n == 0]
+    return Orbit(start, steps, omega, repetition)
 
 
 def enumerate_orbits(
@@ -115,29 +105,22 @@ def enumerate_orbits(
     loops start vertices, deduplicating by canonical presentation. Output
     is sorted by (b-count, start, steps). Connectivity is not required.
     """
-    if l < 1:
-        raise ValueError(f"length must be >= 1, got {l}")
-    if k is not None and not 0 <= k <= l:
-        raise ValueError(f"b-count must satisfy 0 <= k <= l, got k={k}, l={l}")
-    if budget is None:
-        budget = default_budget()
+    check_lk(l, 0 if k is None else k)
+    budget = resolve_budget(budget)
     candidates = (binomial(l, k) if k is not None else 2**l) * G.n
     if candidates > budget:
         raise BudgetExceeded(
             f"enumerating length {l} on C_{G.n}({G.a},{G.b}) needs "
             f"{candidates} candidate presentations > budget {budget}"
         )
-    bcounts = _closed_bcounts(G, l) if k is None else ([k] if (l * G.a + k * G.d) % G.n == 0 else [])
+    bcounts = [kk for kk in (range(l + 1) if k is None else [k])
+               if (l * G.a + kk * G.d) % G.n == 0]
     n = G.n
     out: list[Orbit] = []
     for kk in bcounts:
         omega = (l * G.a + kk * G.d) // n
         seen: set[tuple[int, str]] = set()
-        for positions in combinations(range(l), kk):
-            letters = ["a"] * l
-            for p in positions:
-                letters[p] = "b"
-            w = "".join(letters)
+        for w in fixed_content_words(l, kk):
             rots = _rotations(w)
             pre = _prefix_distances(G, w)
             repetition = _orbit_repetition(G, w, rots, pre)
@@ -171,6 +154,7 @@ def verify_range(n_max: int, l_max: int, budget: int | None = None) -> dict:
     orbit repetition against gcd of word repetition and winding number.
     Failures are report content, not exceptions.
     """
+    budget = resolve_budget(budget)
     cases = []
     mismatches = []
     graphs = 0

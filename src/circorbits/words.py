@@ -11,27 +11,30 @@ from __future__ import annotations
 import math
 import os
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceeded
-from .numtheory import binomial, divisors, moebius
+from .numtheory import binomial, moebius_divisors
 
 DEFAULT_BUDGET = 2**28
 _BUDGET_ENV = "CIRCORBITS_BUDGET"
 
 
-def default_budget() -> int:
-    """Work budget for generation/enumeration; override with CIRCORBITS_BUDGET."""
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{_BUDGET_ENV} must be positive, got {value}")
-    return value
+def resolve_budget(budget: int | None) -> int:
+    """The explicit budget, else CIRCORBITS_BUDGET, else DEFAULT_BUDGET; refuses values below 1."""
+    name = "budget"
+    if budget is None:
+        raw = os.environ.get(_BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_BUDGET
+        name = _BUDGET_ENV
+        try:
+            budget = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+    if budget < 1:
+        raise ValueError(f"{name} must be >= 1, got {budget}")
+    return budget
 
 
 class WordDecomposition(NamedTuple):
@@ -56,17 +59,10 @@ def b_count(w: str) -> int:
     return w.count("b")
 
 
-def rotate(w: str, s: int) -> str:
-    """Cyclic left rotation by s positions (s reduced mod the length)."""
-    check_word(w)
-    s %= len(w)
-    return w[s:] + w[:s]
-
-
 def decompose(w: str) -> WordDecomposition:
     """Split w into its primitive root and repetition count, w == root * repetition."""
     check_word(w)
-    # Smallest s > 0 with rotate(w, s) == w; it divides len(w).
+    # Smallest s > 0 with w[s:] + w[:s] == w; it divides len(w).
     p = (w + w).find(w, 1)
     return WordDecomposition(w[:p], len(w) // p)
 
@@ -79,16 +75,8 @@ def is_lyndon(w: str) -> bool:
     return all(w < doubled[s : s + l] for s in range(1, l))
 
 
-def lyndon_rotation(w: str) -> str | None:
-    """The unique Lyndon word in the rotation class of w, or None if w is not primitive."""
-    if decompose(w).repetition != 1:
-        return None
-    doubled = w + w
-    l = len(w)
-    return min(doubled[s : s + l] for s in range(l))
-
-
-def _check_lk(l: int, k: int) -> None:
+def check_lk(l: int, k: int) -> None:
+    """Validate a length l >= 1 and a b-count 0 <= k <= l."""
     if l < 1:
         raise ValueError(f"length must be >= 1, got {l}")
     if not 0 <= k <= l:
@@ -101,21 +89,17 @@ def count_lyndon(l: int, k: int) -> int:
     Moebius sum over the common divisors of l and k (all of l when k = 0),
     divided by l; the division is exact.
     """
-    _check_lk(l, k)
-    total = sum(
-        moebius(m) * binomial(l // m, k // m) for m in divisors(math.gcd(l, k))
-    )
+    check_lk(l, k)
+    total = sum(mu * binomial(l // m, k // m) for m, mu in moebius_divisors(math.gcd(l, k)))
     assert total % l == 0, f"non-integer Lyndon count for (l={l}, k={k})"
     return total // l
 
 
 def count_nonprimitive(l: int, k: int) -> int:
     """Number of nonprimitive words of length l with b-count k (inclusion-exclusion)."""
-    _check_lk(l, k)
-    return sum(
-        -moebius(m) * binomial(l // m, k // m)
-        for m in divisors(math.gcd(l, k))
-        if m > 1
+    check_lk(l, k)
+    return -sum(
+        mu * binomial(l // m, k // m) for m, mu in moebius_divisors(math.gcd(l, k)) if m > 1
     )
 
 
@@ -126,24 +110,23 @@ def list_lyndon(l: int, k: int, budget: int | None = None) -> list[str]:
     keeps the Lyndon survivors. Refuses instances whose generation cost
     l * C(l, k) exceeds the budget.
     """
-    _check_lk(l, k)
-    if budget is None:
-        budget = default_budget()
+    check_lk(l, k)
+    budget = resolve_budget(budget)
     cost = l * binomial(l, k)
     if cost > budget:
         raise BudgetExceeded(
             f"generating W_2({l},{k}) costs {cost} > budget {budget}"
         )
-    found = []
+    return sorted(w for w in fixed_content_words(l, k) if is_lyndon(w))
+
+
+def fixed_content_words(l: int, k: int) -> Iterator[str]:
+    """The C(l, k) words of length l with b-count k, one per choice of b-positions."""
     for positions in combinations(range(l), k):
         letters = ["a"] * l
         for p in positions:
             letters[p] = "b"
-        w = "".join(letters)
-        if is_lyndon(w):
-            found.append(w)
-    found.sort()
-    return found
+        yield "".join(letters)
 
 
 def to_step_string(w: str, a: int, b: int) -> str:
@@ -156,39 +139,3 @@ def to_step_string(w: str, a: int, b: int) -> str:
     if b <= 9:
         return "".join(str(a) if c == "a" else str(b) for c in w)
     return ",".join(str(a) if c == "a" else str(b) for c in w)
-
-
-def parse_word(s: str, a: int | None = None, b: int | None = None) -> str:
-    """Parse a word given either as letters over {a, b} or in step notation.
-
-    Step notation (digits like '114', or comma-separated values) requires
-    the graph context (a, b).
-    """
-    if not s:
-        raise ValueError("word must be nonempty")
-    if set(s) <= {"a", "b"}:
-        return s
-    if a is None or b is None:
-        raise ValueError(
-            f"word {s!r} is not over letters a/b and no step sizes were supplied"
-        )
-    if "," in s:
-        tokens = s.split(",")
-    else:
-        if not s.isdigit():
-            raise ValueError(f"cannot parse word {s!r}")
-        if b > 9:
-            raise ValueError(
-                f"step sizes ({a}, {b}) need comma-separated notation, got {s!r}"
-            )
-        tokens = list(s)
-    out = []
-    for tok in tokens:
-        step = int(tok)
-        if step == a:
-            out.append("a")
-        elif step == b:
-            out.append("b")
-        else:
-            raise ValueError(f"step {step} is neither a={a} nor b={b}")
-    return "".join(out)

@@ -236,6 +236,23 @@ def test_enumerate_budget_exits_4(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9", "--budget", "0"),
+     None, "budget must be >= 1, got 0"),
+    (("verify", "--nmax", "5", "--lmax", "6", "--budget", "-1"),
+     None, "budget must be >= 1, got -1"),
+    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9"),
+     "0", "CIRCORBITS_BUDGET must be >= 1, got 0"),
+], ids=["enumerate-flag", "verify-flag", "environment"])
+def test_nonpositive_budget_exits_2(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("CIRCORBITS_BUDGET", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", "--nmax", "5", "--lmax", "6")
     assert code == 0
@@ -276,6 +293,21 @@ def test_unknown_flags_exit_2(capsys):
         main(["count", "--n", "5"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # The listing is far larger than a pipe buffer, so the writer is still
+    # printing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circorbits", "lyndon", "list", "--length", "20",
+         "--bcount", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"aaaaaaaaaabbbbbbbbbb\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_module_entry_point():

@@ -3,21 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from circorbits import binomial, divisors, extended_gcd, gcd, moebius, numtheory
+from circorbits import binomial, divisors, extended_gcd, moebius, numtheory
+from circorbits.numtheory import moebius_divisors
 
-from brute import pascal_table, scaled_binomial
-
-
-def test_gcd_examples():
-    assert gcd(4, 10) == 2
-    assert gcd(7, 1) == 1
-    assert gcd(360, 240) == 120
-    assert gcd(0, 5) == 5
-
-
-def test_gcd_zero_zero_is_an_error():
-    with pytest.raises(ValueError):
-        gcd(0, 0)
+from brute import naive_divisors, naive_mu, pascal_table, scaled_binomial
 
 
 def test_extended_gcd_examples():
@@ -77,6 +66,21 @@ def test_divisors_examples():
 def test_divisors_rejects_zero():
     with pytest.raises(ValueError):
         divisors(0)
+
+
+@given(st.integers(min_value=1, max_value=10**4))
+def test_moebius_divisors_match_naive_scan(m):
+    expected = [(d, naive_mu(d)) for d in naive_divisors(m) if naive_mu(d)]
+    assert moebius_divisors(m) == expected
+
+
+def test_moebius_divisors_examples_and_rejects_nonpositive():
+    assert moebius_divisors(1) == [(1, 1)]
+    assert moebius_divisors(120) == [(1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (10, 1),
+                                     (15, 1), (30, -1)]
+    for m in (0, -4):
+        with pytest.raises(ValueError):
+            moebius_divisors(m)
 
 
 def test_binomial_examples():

@@ -11,11 +11,9 @@ from circorbits import (
     decompose,
     is_lyndon,
     list_lyndon,
-    lyndon_rotation,
-    parse_word,
-    rotate,
     to_step_string,
 )
+from circorbits.words import fixed_content_words
 
 from brute import (
     count_nonprimitive_direct,
@@ -41,18 +39,6 @@ FIG_WORDS_9_3 = [
 ]
 
 
-def test_rotate_examples():
-    assert rotate("aab", 1) == "aba"
-    assert rotate("abba", 0) == "abba"
-    assert rotate("abb", 3) == "abb"
-    assert rotate("aab", -1) == "baa"
-
-
-@given(words_st, st.integers(-30, 30), st.integers(-30, 30))
-def test_rotate_composes(w, s, t):
-    assert rotate(rotate(w, s), t) == rotate(w, s + t)
-
-
 def test_decompose_examples():
     assert decompose("aabaabaab") == ("aab", 3)
     assert decompose("aabab") == ("aabab", 1)
@@ -74,24 +60,6 @@ def test_is_lyndon_examples():
     assert not is_lyndon("abab")
     assert is_lyndon("a") and is_lyndon("b")
     assert not is_lyndon("bb")
-
-
-def test_lyndon_rotation_examples():
-    assert lyndon_rotation("aba") == "aab"
-    assert lyndon_rotation("abab") is None
-    assert lyndon_rotation("baa") == "aab"
-
-
-@given(words_st)
-def test_lyndon_rotation_is_minimal_rotation_of_primitive_words(w):
-    lyn = lyndon_rotation(w)
-    rotations = {rotate(w, s) for s in range(len(w))}
-    if decompose(w).repetition == 1:
-        assert lyn in rotations
-        assert all(lyn <= r for r in rotations)
-        assert is_lyndon(lyn)
-    else:
-        assert lyn is None
 
 
 def test_count_lyndon_examples():
@@ -216,20 +184,16 @@ def test_coprime_power_sets_intersect_in_product():
 
 def test_step_string_round_trip():
     assert to_step_string("aab", 1, 4) == "114"
-    assert parse_word("114", 1, 4) == "aab"
-    assert parse_word("aab") == "aab"
     assert to_step_string("aba", 4, 10) == "4,10,4"
-    assert parse_word("4,10,4", 4, 10) == "aba"
+    for w in ("aab", "abba", "b"):
+        assert to_step_string(w, 1, 4).translate(str.maketrans("14", "ab")) == w
+        steps = to_step_string(w, 4, 10).split(",")
+        assert "".join("a" if step == "4" else "b" for step in steps) == w
 
 
-def test_parse_word_errors():
-    with pytest.raises(ValueError):
-        parse_word("")
-    with pytest.raises(ValueError):
-        parse_word("114")  # no context
-    with pytest.raises(ValueError):
-        parse_word("115", 1, 4)  # 5 is not a step
-    with pytest.raises(ValueError):
-        parse_word("4104", 4, 10)  # multi-digit steps need commas
-    with pytest.raises(ValueError):
-        parse_word("abc")
+def test_fixed_content_words_are_the_distinct_words_of_one_content():
+    for l in range(1, 13):
+        for k in range(l + 1):
+            words = list(fixed_content_words(l, k))
+            assert len(words) == len(set(words)) == math.comb(l, k), (l, k)
+            assert all(len(w) == l and b_count(w) == k for w in words)
