@@ -14,6 +14,7 @@ from .errors import (
     CircorbitsError,
     DisconnectedGraph,
     DoesNotClose,
+    InvariantViolated,
     NotLatticePoint,
     RejectedParameters,
 )
@@ -35,7 +36,6 @@ from .words import (
     count_lyndon,
     count_nonprimitive,
     decompose,
-    is_lyndon,
     list_lyndon,
     to_step_string,
 )
@@ -49,6 +49,7 @@ __all__ = [
     "CountTerm",
     "DisconnectedGraph",
     "DoesNotClose",
+    "InvariantViolated",
     "LatticeBasis",
     "NotLatticePoint",
     "Orbit",
@@ -71,7 +72,6 @@ __all__ = [
     "dot_graph",
     "enumerate_orbits",
     "extended_gcd",
-    "is_lyndon",
     "lattice_points",
     "list_lyndon",
     "moebius",

@@ -6,7 +6,8 @@ and listing), enumerate (brute-force orbit listing), verify (formula vs.
 enumeration sweep) and graph (Graphviz DOT export).
 
 Exit codes are stable: 0 success, 1 verification mismatch, 2 parameter
-error, 3 disconnected graph, 4 budget exceeded, and 141 from the
+error, 3 disconnected graph, 4 budget exceeded, 5 internal invariant
+violated (a bug; the check also runs under python -O), and 141 from the
 `circorbits` entry point when the reader closes stdout early. Counts
 inside JSON are decimal strings so consumers are not limited to 53-bit
 integers.
@@ -27,6 +28,7 @@ from .counting import (
 from .errors import (
     BudgetExceeded,
     DisconnectedGraph,
+    InvariantViolated,
     NotLatticePoint,
     RejectedParameters,
 )
@@ -231,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except DisconnectedGraph as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolated as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return 5
     except (RejectedParameters, NotLatticePoint, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

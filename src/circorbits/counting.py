@@ -9,7 +9,7 @@ and the brute-force oracle module checks them against direct enumeration.
 
 All arithmetic keeps the signed divisor sum as an exact integer, then
 multiplies by n and divides by l; integrality of that final division is
-asserted, never assumed.
+checked, never assumed (InvariantViolated, also under python -O).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import NotLatticePoint
+from .errors import InvariantViolated, NotLatticePoint
 from .graph import CirculantGraph
 from .lattice import bcounts_for_length
 from .numtheory import binomial, divisors, moebius_divisors
@@ -80,16 +80,18 @@ def _winding(G: CirculantGraph, l: int, k: int) -> int | None:
     if delta % G.n:
         return None
     omega = delta // G.n
-    assert omega >= 1
+    if omega < 1:
+        raise InvariantViolated(f"winding number {omega} < 1 for l={l}, k={k}")
     return omega
 
 
 def _finish(G: CirculantGraph, l: int, k: int, omega: int,
             terms: list[CountTerm], method: str) -> OrbitCountReport:
     total = G.n * sum(t.mu * t.binomial for t in terms)
-    assert total % l == 0, f"count formula non-integral for C_{G.n}({G.a},{G.b}), l={l}, k={k}"
-    count = total // l
-    assert count >= 0
+    count, rest = divmod(total, l)
+    if rest or count < 0:
+        raise InvariantViolated(f"count formula non-integral or negative for "
+                                f"C_{G.n}({G.a},{G.b}), l={l}, k={k}")
     return OrbitCountReport(G, l, k, omega, count, tuple(terms), method)
 
 

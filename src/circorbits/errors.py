@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Each maps to a stable CLI exit code: parameter problems (RejectedParameters,
-NotLatticePoint, plain ValueError) exit 2, DisconnectedGraph exits 3 and
-BudgetExceeded exits 4.
+NotLatticePoint, plain ValueError) exit 2, DisconnectedGraph exits 3,
+BudgetExceeded exits 4 and InvariantViolated exits 5.
 """
 
 
@@ -28,3 +28,7 @@ class DoesNotClose(CircorbitsError, ValueError):
 
 class BudgetExceeded(CircorbitsError, RuntimeError):
     """Requested enumeration is larger than the configured work budget."""
+
+
+class InvariantViolated(CircorbitsError):
+    """An internal consistency check failed (a bug, not a bad input); raised even under python -O."""

@@ -9,9 +9,10 @@ coordinates, and the admissible orbit classes with 0 <= k <= l, l >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import NotLatticePoint, RejectedParameters
+from .errors import InvariantViolated, NotLatticePoint, RejectedParameters
 from .graph import CirculantGraph
 from .numtheory import extended_gcd
 
@@ -66,7 +67,8 @@ def basis(G: CirculantGraph) -> LatticeBasis:
     a_prime = G.a // g
     d_prime = G.d // g
     gg, u, v = extended_gcd(a_prime, d_prime)
-    assert gg == 1
+    if gg != 1:
+        raise InvariantViolated(f"gcd(a', d') = {gg} != 1 for C_{G.n}({G.a},{G.b})")
     # u*a' + v*d' = 1, so (u*n)*a + (v*n)*d = g*n.
     l0 = u * G.n
     k0 = v * G.n
@@ -74,8 +76,8 @@ def basis(G: CirculantGraph) -> LatticeBasis:
     r = l0 % d_prime
     x = (r - l0) // d_prime
     l0, k0 = r, k0 - x * a_prime
-    assert l0 * G.a + k0 * G.d == g * G.n
-    assert d_prime * k0 + a_prime * l0 == G.n
+    if l0 * G.a + k0 * G.d != g * G.n or d_prime * k0 + a_prime * l0 != G.n:
+        raise InvariantViolated(f"basis ({l0}, {k0}) fails for C_{G.n}({G.a},{G.b})")
     return LatticeBasis(G.n, a_prime, d_prime, l0, k0)
 
 
@@ -89,17 +91,25 @@ def winding_bounds(G: CirculantGraph, l: int) -> tuple[int, int]:
 
 
 def bcounts_for_length(G: CirculantGraph, l: int) -> list[OrbitClass]:
-    """All admissible orbit classes of length l, sorted by winding number."""
+    """All admissible orbit classes of length l, sorted by winding number.
+
+    The b-count is integral when omega*n = l*a (mod d). With h = gcd(n, d)
+    that needs h | l (a connected graph has gcd(h, a) = 1), and then only
+    one residue class of omega mod d/h, the one walked here.
+    """
     G.require_connected()
     lo, hi = winding_bounds(G, l)
+    n, a, d, g = G.n, G.a, G.d, G.g
+    h = math.gcd(n, d)
+    if l % h:
+        return []
+    step = d // h
+    first = (l * a // h) * pow(n // h, -1, step) % step
     out = []
-    for omega in range(lo, hi + 1):
-        num = omega * G.n - l * G.a
-        if num % G.d:
-            continue
-        k = num // G.d
-        assert 0 <= k <= l
-        assert omega % G.g == 0
+    for omega in range(lo + (first - lo) % step, hi + 1, step):
+        k, rest = divmod(omega * n - l * a, d)
+        if rest or not 0 <= k <= l or omega % g:
+            raise InvariantViolated(f"winding {omega} of l={l} on C_{n}({a},{G.b}) is not a class")
         out.append(OrbitClass(l, k, omega))
     return out
 

@@ -1,10 +1,10 @@
 """Brute-force enumeration of periodic orbits on small graphs.
 
 This module is the ground truth the closed formulas are tested against:
-it walks every step word of a given length, keeps the closed ones, and
-deduplicates circuits up to rotation. A periodic orbit is stored by its
-canonical presentation, the lexicographically least (start vertex, step
-word) pair among all rotations of the circuit, compared vertex first.
+it walks the closing step words of a length as integer bitmasks, keeps
+the least word of each rotation class and starts it from every vertex.
+An orbit is stored by its canonical presentation: the least (start
+vertex, step word) pair among the circuit's rotations, vertex first.
 
 verify_range sweeps every connected two-step circulant graph up to a
 size bound and cross-checks the formula counts, the reduced/unreduced
@@ -14,6 +14,7 @@ agreement and the repetition-number law against enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .counting import (
@@ -22,10 +23,10 @@ from .counting import (
     count_orbits_lk_unreduced,
     predicted_repetition,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolated
 from .graph import CirculantGraph
 from .numtheory import binomial
-from .words import check_lk, fixed_content_words, resolve_budget, to_step_string
+from .words import check_lk, resolve_budget, to_step_string
 
 
 @dataclass(frozen=True)
@@ -59,38 +60,45 @@ class Orbit:
         }
 
 
-def _rotations(w: str) -> list[str]:
-    doubled = w + w
-    l = len(w)
-    return [doubled[s : s + l] for s in range(l)]
+_BITS = str.maketrans("ab", "01")
+_LETTERS = str.maketrans("01", "ab")
 
 
-def _prefix_distances(G: CirculantGraph, w: str) -> list[int]:
-    pre = [0]
-    total = 0
-    for c in w[:-1]:
-        total += G.a if c == "a" else G.b
+def _circuit(G: CirculantGraph, l: int, x: int) -> tuple[list[int], list[int], int]:
+    """Rotations, prefix distances and repetition of a circuit with l-letter word x.
+
+    Letter i of x is bit l-1-i ('b' = 1), so integer order is lexicographic
+    order. The circuit (v, x) is also ((v + pre[s]) % n, rots[s]); the
+    number of s fixing it does not depend on v and is the repetition.
+    """
+    mask = (1 << l) - 1
+    a, b = G.a, G.b
+    rots, pre, total = [], [], 0
+    for _ in range(l):
+        rots.append(x)
         pre.append(total)
-    return pre
+        letter = x >> (l - 1)
+        total += b if letter else a
+        x = ((x << 1) & mask) | letter
+    return rots, pre, sum(1 for p, r in zip(pre, rots) if r == x and p % G.n == 0)
 
 
-def _orbit_repetition(G: CirculantGraph, w: str, rots: list[str], pre: list[int]) -> int:
-    # Rotations fixing the circuit presentation are start-independent:
-    # rotation s maps (v, w) to (v + pre[s], sigma^s(w)).
-    n = G.n
-    return sum(1 for s in range(len(w)) if pre[s] % n == 0 and rots[s] == w)
+def _orbit(key: int, l: int, omega: int, repetition: int) -> Orbit:
+    """The orbit with canonical presentation (key >> l, low l bits of key)."""
+    steps = format(key & ((1 << l) - 1), f"0{l}b").translate(_LETTERS)
+    return Orbit(key >> l, steps, omega, repetition)
 
 
 def phi(G: CirculantGraph, w: str, v: int) -> Orbit:
     """Canonical periodic orbit of the circuit starting at v with step word w."""
     omega = G.winding_number(w)
-    rots = _rotations(w)
-    pre = _prefix_distances(G, w)
-    presentations = [((v + pre[s]) % G.n, rots[s]) for s in range(len(w))]
-    repetition = _orbit_repetition(G, w, rots, pre)
-    assert len(set(presentations)) * repetition == len(w)
-    start, steps = min(presentations)
-    return Orbit(start, steps, omega, repetition)
+    l, n = len(w), G.n
+    rots, pre, repetition = _circuit(G, l, int(w.translate(_BITS), 2))
+    keys = {((v + p) % n << l) | r for p, r in zip(pre, rots)}
+    if len(keys) * repetition != l:
+        raise InvariantViolated(f"{len(keys)} presentations of {w!r} with repetition "
+                                f"{repetition} on C_{n}({G.a},{G.b})")
+    return _orbit(min(keys), l, omega, repetition)
 
 
 def enumerate_orbits(
@@ -101,8 +109,10 @@ def enumerate_orbits(
 ) -> list[Orbit]:
     """All distinct periodic orbits of length l (restricted to b-count k if given).
 
-    Iterates words by fixed b-count, tests closure once per b-count, then
-    loops start vertices, deduplicating by canonical presentation. Output
+    Walks the words of each closing b-count and keeps those least among
+    their rotations. Such a word x, of period p, meets each orbit of its
+    rotation class in the presentations (v, x), whose starts are v + pre[j*p];
+    the orbit's canonical presentation is the least of all its l. Output
     is sorted by (b-count, start, steps). Connectivity is not required.
     """
     check_lk(l, 0 if k is None else k)
@@ -113,26 +123,34 @@ def enumerate_orbits(
             f"enumerating length {l} on C_{G.n}({G.a},{G.b}) needs "
             f"{candidates} candidate presentations > budget {budget}"
         )
-    bcounts = [kk for kk in (range(l + 1) if k is None else [k])
-               if (l * G.a + kk * G.d) % G.n == 0]
     n = G.n
-    out: list[Orbit] = []
-    for kk in bcounts:
-        omega = (l * G.a + kk * G.d) // n
-        seen: set[tuple[int, str]] = set()
-        for w in fixed_content_words(l, kk):
-            rots = _rotations(w)
-            pre = _prefix_distances(G, w)
-            repetition = _orbit_repetition(G, w, rots, pre)
+    top = l - 1
+    mask = (1 << l) - 1
+    found = []
+    for kk in range(l + 1) if k is None else [k]:
+        omega, rest = divmod(l * G.a + kk * G.d, n)
+        if rest:
+            continue
+        for chosen in combinations([1 << i for i in range(l)], kk):
+            x = sum(chosen)
+            # x is least among its rotations iff the first rotation that
+            # is not larger than x is x itself, at the period p.
+            y = x
+            for p in range(1, l + 1):
+                y = ((y << 1) & mask) | (y >> top)
+                if y <= x:
+                    break
+            if y < x:
+                continue
+            rots, pre, repetition = _circuit(G, l, x)
+            seen = bytearray(n)
             for v in range(n):
-                if (v, w) in seen:
-                    continue
-                presentations = [((v + pre[s]) % n, rots[s]) for s in range(l)]
-                seen.update(presentations)
-                start, steps = min(presentations)
-                out.append(Orbit(start, steps, omega, repetition))
-    out.sort(key=lambda o: (o.k, o.start, o.steps))
-    return out
+                if not seen[v]:
+                    for d in pre[::p]:
+                        seen[(v + d) % n] = 1
+                    key = min([((v + d) % n << l) | r for d, r in zip(pre, rots)])
+                    found.append((kk, key, omega, repetition))
+    return [_orbit(key, l, omega, repetition) for _, key, omega, repetition in sorted(found)]
 
 
 def connected_graphs(n_max: int) -> Iterator[CirculantGraph]:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolated
 from .numtheory import binomial, moebius_divisors
 
 DEFAULT_BUDGET = 2**28
@@ -67,14 +66,6 @@ def decompose(w: str) -> WordDecomposition:
     return WordDecomposition(w[:p], len(w) // p)
 
 
-def is_lyndon(w: str) -> bool:
-    """True iff w strictly precedes all of its nontrivial rotations."""
-    check_word(w)
-    doubled = w + w
-    l = len(w)
-    return all(w < doubled[s : s + l] for s in range(1, l))
-
-
 def check_lk(l: int, k: int) -> None:
     """Validate a length l >= 1 and a b-count 0 <= k <= l."""
     if l < 1:
@@ -91,7 +82,8 @@ def count_lyndon(l: int, k: int) -> int:
     """
     check_lk(l, k)
     total = sum(mu * binomial(l // m, k // m) for m, mu in moebius_divisors(math.gcd(l, k)))
-    assert total % l == 0, f"non-integer Lyndon count for (l={l}, k={k})"
+    if total % l:
+        raise InvariantViolated(f"non-integer Lyndon count for (l={l}, k={k})")
     return total // l
 
 
@@ -106,27 +98,51 @@ def count_nonprimitive(l: int, k: int) -> int:
 def list_lyndon(l: int, k: int, budget: int | None = None) -> list[str]:
     """All Lyndon words of length l with b-count k, in lexicographic order.
 
-    Generates the C(l, k) fixed-content words by choosing b-positions and
-    keeps the Lyndon survivors. Refuses instances whose generation cost
-    l * C(l, k) exceeds the budget.
+    For k >= 1 these are the words a^r_0 b ... a^r_{k-1} b whose run list r
+    is a Lyndon word when a longer run is the smaller letter (any other
+    rotation starts with fewer a's). The Fredricksen-Kessler-Maiorana
+    recursion on run lists (the fixed-density form of Ruskey and Sawada),
+    pruned by the a's left and kept on an explicit stack, tries longer runs
+    first and so gives lexicographic order. The work is proportional to
+    the output size l * count_lyndon(l, k); above the budget it refuses.
     """
     check_lk(l, k)
     budget = resolve_budget(budget)
-    cost = l * binomial(l, k)
+    cost = l * count_lyndon(l, k)
     if cost > budget:
         raise BudgetExceeded(
             f"generating W_2({l},{k}) costs {cost} > budget {budget}"
         )
-    return sorted(w for w in fixed_content_words(l, k) if is_lyndon(w))
-
-
-def fixed_content_words(l: int, k: int) -> Iterator[str]:
-    """The C(l, k) words of length l with b-count k, one per choice of b-positions."""
-    for positions in combinations(range(l), k):
-        letters = ["a"] * l
-        for p in positions:
-            letters[p] = "b"
-        yield "".join(letters)
+    if k == 0:
+        return ["a"] if l == 1 else []
+    m = l - k
+    pieces = ["a" * i + "b" for i in range(m + 1)]
+    out = []
+    r = [0] * k
+    period = [0] * (k + 1)  # period of the prenecklace r[:t]
+    left = [m] * (k + 1)  # a's not placed in r[:t]
+    stack = [iter(range(m, -(-m // k) - 1, -1))]  # r[0] is the longest run
+    while stack:
+        t = len(stack) - 1
+        v = next(stack[t], None)
+        if v is None:
+            stack.pop()
+            continue
+        r[t] = v
+        # Repeating the run one period back keeps the period; a shorter
+        # run makes r[:t+1] a Lyndon word.
+        p = 1 if t == 0 else period[t] if v == r[t - period[t]] else t + 1
+        if t + 1 == k:
+            if p == k:
+                out.append("".join([pieces[i] for i in r]))
+            continue
+        period[t + 1] = p
+        left[t + 1] = rest = left[t] - v
+        # The last run takes the a's left; the others leave no more than
+        # the runs after them can hold at r[0] each.
+        lo = rest if t + 2 == k else max(0, rest - r[0] * (k - t - 2))
+        stack.append(iter(range(min(r[t + 1 - p], rest), lo - 1, -1)))
+    return out
 
 
 def to_step_string(w: str, a: int, b: int) -> str:
@@ -137,5 +153,5 @@ def to_step_string(w: str, a: int, b: int) -> str:
     """
     check_word(w)
     if b <= 9:
-        return "".join(str(a) if c == "a" else str(b) for c in w)
-    return ",".join(str(a) if c == "a" else str(b) for c in w)
+        return w.translate(str.maketrans({"a": str(a), "b": str(b)}))
+    return w.translate(str.maketrans({"a": f"{a},", "b": f"{b},"}))[:-1]

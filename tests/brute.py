@@ -1,8 +1,9 @@
 """Independent brute-force reference routes used as test oracles.
 
 Deliberately written with different representations and algorithms than
-the package (bitmask words, naive divisor scans, direct rotation sets)
-so agreement is meaningful.
+the package (string words where it uses bitmasks and bitmasks where it
+uses strings, naive divisor scans, direct rotation sets, full scans where
+it walks a residue class) so agreement is meaningful.
 """
 
 from itertools import combinations, product
@@ -114,5 +115,58 @@ def closed_lattice_scan(n, a, b, l):
 def necklace_lyndon_total(l):
     """Classical count of binary Lyndon words of length l."""
     total = sum(naive_mu(m) * 2 ** (l // m) for m in naive_divisors(l))
-    assert total % l == 0
+    # Not an assert: helper modules lose their asserts under python -O.
+    if total % l:
+        raise ValueError(f"non-integral necklace count for l={l}")
     return total // l
+
+
+def winding_scan(n, a, b, l):
+    """(k, omega) of every class of length l, testing each winding number in range."""
+    d = b - a
+    out = []
+    for omega in range(-(-l * a // n), l * b // n + 1):
+        num = omega * n - l * a
+        if num % d == 0:
+            out.append((num // d, omega))
+    return out
+
+
+def is_lyndon(w):
+    """True iff w strictly precedes all of its nontrivial rotations."""
+    return all(w < rotated for rotated in string_rotations(w)[1:])
+
+
+def enumerate_orbits_reference(n, a, b, l, k=None):
+    """Every periodic orbit of length l on C_n(a, b), by walking strings.
+
+    Builds every fixed-content word of each closing b-count, starts it at
+    every vertex, skips presentations already seen and keeps the least
+    (start, word) presentation of each circuit. Returns (start, steps,
+    omega, repetition) tuples sorted by (b-count, start, steps).
+    """
+    out = []
+    for kk in range(l + 1) if k is None else [k]:
+        omega, rest = divmod(l * a + kk * (b - a), n)
+        if rest:
+            continue
+        seen = set()
+        for positions in combinations(range(l), kk):
+            letters = ["a"] * l
+            for p in positions:
+                letters[p] = "b"
+            w = "".join(letters)
+            rots = string_rotations(w)
+            pre = [0]
+            for c in w[:-1]:
+                pre.append(pre[-1] + (a if c == "a" else b))
+            repetition = sum(1 for s in range(l) if pre[s] % n == 0 and rots[s] == w)
+            for v in range(n):
+                if (v, w) in seen:
+                    continue
+                presentations = [((v + pre[s]) % n, rots[s]) for s in range(l)]
+                seen.update(presentations)
+                start, steps = min(presentations)
+                out.append((start, steps, omega, repetition))
+    out.sort(key=lambda o: (o[1].count("b"), o[0], o[1]))
+    return out

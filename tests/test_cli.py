@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from circorbits import divisors, moebius
+from circorbits import counting, divisors, moebius
 from circorbits.cli import main
 
 
@@ -204,6 +204,16 @@ def test_lyndon_list_budget_exits_4(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "lyndon", "list", "--length", "20", "--bcount", "10")
     assert code == 4
     assert "budget" in err
+
+
+def test_invariant_violation_exits_5(capsys, monkeypatch):
+    # a wrong binomial makes 21 * C / 15 non-integral, which the count refuses to print
+    monkeypatch.setattr(counting, "binomial", lambda x, y: 1)
+    code, out, err = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
+                             "--length", "15", "--bcount", "4")
+    assert code == 5
+    assert out == ""
+    assert "invariant violated" in err and "non-integral" in err
 
 
 def test_enumerate_primitive_class(capsys):

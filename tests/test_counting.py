@@ -5,8 +5,10 @@ import pytest
 
 from circorbits import (
     CirculantGraph,
+    CountTerm,
     DisconnectedGraph,
     DoesNotClose,
+    InvariantViolated,
     NotLatticePoint,
     bcounts_for_length,
     binomial,
@@ -19,6 +21,7 @@ from circorbits import (
     predicted_repetition,
     sum_reduction_check,
 )
+from circorbits.counting import METHOD_REDUCED, _finish
 
 
 def test_reduced_big_example():
@@ -161,3 +164,13 @@ def test_predicted_repetition_examples():
 
     with pytest.raises(DoesNotClose):
         predicted_repetition(G5, "aba")
+
+
+def test_non_integral_finish_raises_invariant_violated():
+    # 9 * 1 is not a multiple of l = 7: a formula bug, reported even under python -O
+    G = CirculantGraph(9, 1, 4)
+    with pytest.raises(InvariantViolated, match="non-integral"):
+        _finish(G, 7, 2, 1, [CountTerm(1, 1, 1)], METHOD_REDUCED)
+    with pytest.raises(InvariantViolated):
+        _finish(G, 9, 3, 2, [CountTerm(1, -1, 1)], METHOD_REDUCED)
+    assert _finish(G, 9, 3, 2, [CountTerm(1, 1, 84)], METHOD_REDUCED).count == 84

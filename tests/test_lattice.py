@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from circorbits import (
     CirculantGraph,
@@ -13,7 +16,7 @@ from circorbits import (
     winding_bounds,
 )
 
-from brute import closed_lattice_scan
+from brute import closed_lattice_scan, winding_scan
 
 
 def test_basis_examples():
@@ -138,3 +141,20 @@ def test_solution_family_shift():
             assert l2 * G.a + k2 * G.d == c.omega * G.n
             x, y = B.to_coords(c.l, c.k)
             assert B.to_coords(l2, k2) == (x + 1, y)
+
+
+@st.composite
+def _connected_graph_and_length(draw):
+    n = draw(st.integers(min_value=3, max_value=3000), label="n")
+    a = draw(st.integers(min_value=1, max_value=n - 2), label="a")
+    b = draw(st.integers(min_value=a + 1, max_value=n - 1), label="b")
+    assume(math.gcd(n, a, b) == 1)
+    return CirculantGraph(n, a, b), draw(st.integers(min_value=1, max_value=20000), label="l")
+
+
+@given(_connected_graph_and_length())
+def test_class_walk_equals_winding_scan(case):
+    # bcounts_for_length walks one residue class of windings; the scan tests them all
+    G, l = case
+    got = [(c.k, c.omega) for c in bcounts_for_length(G, l)]
+    assert got == winding_scan(G.n, G.a, G.b, l)

@@ -2,6 +2,7 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circorbits import (
     BudgetExceeded,
@@ -11,13 +12,13 @@ from circorbits import (
     count_lyndon,
     count_orbits_lk,
     enumerate_orbits,
-    is_lyndon,
     list_lyndon,
+    connected_graphs,
     phi,
     verify_range,
 )
 
-from brute import string_rotations
+from brute import enumerate_orbits_reference, is_lyndon, string_rotations
 
 
 def test_phi_examples():
@@ -192,3 +193,35 @@ def test_verify_range_covers_the_84_class():
     # 84 primitive orbits at k=3 plus the other admissible classes
     assert row[0]["orbits"] >= 84
     assert count_orbits_lk(CirculantGraph(9, 1, 4), 9, 3).count == 84
+
+
+def _as_tuples(orbits):
+    return [(o.start, o.steps, o.omega, o.repetition) for o in orbits]
+
+
+def test_enumerate_matches_string_reference_exhaustively():
+    # every b-count, every connected graph with n <= 10, lengths up to 10
+    for G in connected_graphs(10):
+        for l in range(1, 11):
+            assert _as_tuples(enumerate_orbits(G, l)) == enumerate_orbits_reference(
+                G.n, G.a, G.b, l), (G, l)
+
+
+@st.composite
+def _graph_length_bcount(draw):
+    n = draw(st.integers(min_value=3, max_value=16), label="n")
+    a = draw(st.integers(min_value=1, max_value=n - 2), label="a")
+    b = draw(st.integers(min_value=a + 1, max_value=n - 1), label="b")
+    l = draw(st.integers(min_value=1, max_value=14), label="l")
+    closing = [k for k in range(l + 1) if (l * a + k * (b - a)) % n == 0]
+    k = draw(st.sampled_from(closing or list(range(l + 1))), label="k")
+    return CirculantGraph(n, a, b), l, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_length_bcount())
+def test_enumerate_matches_string_reference_for_one_bcount(case):
+    # connectivity is not required; k is a closing b-count whenever one exists
+    G, l, k = case
+    assert _as_tuples(enumerate_orbits(G, l, k)) == enumerate_orbits_reference(
+        G.n, G.a, G.b, l, k)

@@ -9,14 +9,13 @@ from circorbits import (
     count_lyndon,
     count_nonprimitive,
     decompose,
-    is_lyndon,
     list_lyndon,
     to_step_string,
 )
-from circorbits.words import fixed_content_words
 
 from brute import (
     count_nonprimitive_direct,
+    is_lyndon,
     lyndon_words_direct,
     necklace_lyndon_total,
     string_is_primitive,
@@ -131,7 +130,7 @@ def test_list_lyndon_exhaustive_consistency_up_to_18():
 
 
 def test_list_lyndon_matches_direct_rotation_filter():
-    for l in range(1, 13):
+    for l in range(1, 15):
         for k in range(l + 1):
             assert list_lyndon(l, k) == lyndon_words_direct(l, k), (l, k)
 
@@ -189,11 +188,3 @@ def test_step_string_round_trip():
         assert to_step_string(w, 1, 4).translate(str.maketrans("14", "ab")) == w
         steps = to_step_string(w, 4, 10).split(",")
         assert "".join("a" if step == "4" else "b" for step in steps) == w
-
-
-def test_fixed_content_words_are_the_distinct_words_of_one_content():
-    for l in range(1, 13):
-        for k in range(l + 1):
-            words = list(fixed_content_words(l, k))
-            assert len(words) == len(set(words)) == math.comb(l, k), (l, k)
-            assert all(len(w) == l and b_count(w) == k for w in words)
