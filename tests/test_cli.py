@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -5,7 +7,7 @@ import sys
 
 import pytest
 
-from circorbits import counting, divisors, moebius
+from circorbits import counting, divisors, moebius, oracle
 from circorbits.cli import main
 
 
@@ -276,6 +278,41 @@ def test_verify_empty(capsys):
     code, out, _ = run_cli(capsys, "verify", "--nmax", "2", "--lmax", "5")
     assert code == 0
     assert json.loads(out)["graphs"] == 0
+
+
+def test_verify_failure_report_is_unchanged(capsys, monkeypatch):
+    # Each formula the sweep checks is off by one on a few (graph, length)
+    # cases, so all five mismatch kinds are reported. The digest pins the
+    # whole failing report: check count, mismatch entries and their key
+    # order, first_mismatch and every case's ok flag.
+    def off_by_one(fn, targets, bump):
+        def patched(G, l, *rest):
+            result = fn(G, l, *rest)
+            return bump(result) if (G.n, G.a, G.b, l) in targets else result
+        return patched
+
+    def bump_report(report):
+        return dataclasses.replace(report, count=report.count + 1)
+
+    monkeypatch.setattr(oracle, "count_orbits_lk", off_by_one(
+        oracle.count_orbits_lk, {(4, 1, 3, 4), (5, 1, 2, 5)}, bump_report))
+    monkeypatch.setattr(oracle, "count_orbits_lk_unreduced", off_by_one(
+        oracle.count_orbits_lk_unreduced, {(5, 2, 3, 5)}, bump_report))
+    monkeypatch.setattr(oracle, "count_orbits_l", off_by_one(
+        oracle.count_orbits_l, {(4, 1, 2, 4)}, lambda r: (r[0] + 1, r[1])))
+    predicted = oracle.predicted_repetition
+    monkeypatch.setattr(oracle, "predicted_repetition", lambda G, w: predicted(G, w) + (
+        (G.n, G.a, G.b, len(w)) == (5, 1, 4, 4)))
+
+    code, out, _ = run_cli(capsys, "verify", "--nmax", "5", "--lmax", "5")
+    assert code == 1
+    report = json.loads(out)
+    assert {m["kind"] for m in report["mismatches"]} == {
+        "reduced-vs-oracle", "unreduced-vs-reduced", "total-vs-oracle",
+        "total-vs-classes", "repetition-law"}
+    assert (report["checks"], len(report["mismatches"])) == (491, 30)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "eaa104054259472ff5548443e44d667c9717a3ee301bcc9eed452e010816c3ec")
 
 
 def test_graph_dot(capsys):
