@@ -25,13 +25,7 @@ from .counting import (
     count_orbits_lk,
     count_orbits_lk_unreduced,
 )
-from .errors import (
-    BudgetExceeded,
-    DisconnectedGraph,
-    InvariantViolated,
-    NotLatticePoint,
-    RejectedParameters,
-)
+from .errors import BudgetExceeded, DisconnectedGraph, InvariantViolated
 from .graph import CirculantGraph, dot_graph
 from .lattice import basis, bcounts_for_length, lattice_points, skipped_windings
 from .oracle import enumerate_orbits, verify_range
@@ -110,12 +104,11 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_steps_context(value: str) -> CirculantGraph:
-    parts = value.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--steps wants n,a,b (three integers), got {value!r}")
-    n, a, b = (int(p) for p in parts)
-    return CirculantGraph(n, a, b)
+def _parse_steps(value: str) -> list[int]:
+    try:
+        return [int(p) for p in value.split(",")]
+    except ValueError:
+        raise ValueError(f"--steps wants comma-separated integers, got {value!r}") from None
 
 
 def _cmd_lyndon(args: argparse.Namespace) -> int:
@@ -124,7 +117,10 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
         return 0
     words = list_lyndon(args.length, args.bcount)
     if args.steps is not None:
-        G = _parse_steps_context(args.steps)
+        steps = _parse_steps(args.steps)
+        if len(steps) != 3:
+            raise ValueError(f"--steps wants n,a,b (three integers), got {args.steps!r}")
+        G = CirculantGraph(*steps)
         words = [to_step_string(w, G.a, G.b) for w in words]
     for w in words:
         print(w)
@@ -153,8 +149,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    steps = [int(p) for p in args.steps.split(",") if p != ""]
-    sys.stdout.write(dot_graph(args.n, steps))
+    sys.stdout.write(dot_graph(args.n, _parse_steps(args.steps)))
     return 0
 
 
@@ -236,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolated as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return 5
-    except (RejectedParameters, NotLatticePoint, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

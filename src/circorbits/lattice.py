@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolated, NotLatticePoint, RejectedParameters
 from .graph import CirculantGraph
-from .numtheory import extended_gcd
 
 
 @dataclass(frozen=True)
@@ -66,17 +65,11 @@ def basis(G: CirculantGraph) -> LatticeBasis:
     g = G.g
     a_prime = G.a // g
     d_prime = G.d // g
-    gg, u, v = extended_gcd(a_prime, d_prime)
-    if gg != 1:
-        raise InvariantViolated(f"gcd(a', d') = {gg} != 1 for C_{G.n}({G.a},{G.b})")
-    # u*a' + v*d' = 1, so (u*n)*a + (v*n)*d = g*n.
-    l0 = u * G.n
-    k0 = v * G.n
-    # Shift along (d', -a') to the smallest nonnegative l0 representative.
-    r = l0 % d_prime
-    x = (r - l0) // d_prime
-    l0, k0 = r, k0 - x * a_prime
-    if l0 * G.a + k0 * G.d != g * G.n or d_prime * k0 + a_prime * l0 != G.n:
+    # The least l0 >= 0 with a'*l0 = n (mod d'), so that a'*l0 + d'*k0 = n
+    # and l0*a + k0*d = g*n; gcd(a', d') = 1 makes a' invertible mod d'.
+    l0 = G.n * pow(a_prime, -1, d_prime) % d_prime
+    k0, rest = divmod(G.n - a_prime * l0, d_prime)
+    if rest:
         raise InvariantViolated(f"basis ({l0}, {k0}) fails for C_{G.n}({G.a},{G.b})")
     return LatticeBasis(G.n, a_prime, d_prime, l0, k0)
 

@@ -25,22 +25,6 @@ from bisect import bisect_right
 from itertools import compress
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b), for a, b >= 1."""
-    if a < 1 or b < 1:
-        raise ValueError(f"extended_gcd needs positive integers, got ({a}, {b})")
-    # Run Euclid on (g, next_g) and carry the Bezout coefficients along.
-    u, next_u = 1, 0
-    v, next_v = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        u, next_u = next_u, u - q * next_u
-        v, next_v = next_v, v - q * next_v
-        g, next_g = next_g, g - q * next_g
-    return g, u, v
-
-
 def moebius(m: int) -> int:
     """Moebius function: 1 for m=1, (-1)^h for a product of h distinct primes, 0 otherwise."""
     if m < 1:

@@ -2,17 +2,23 @@
 
 This module is the ground truth the closed formulas are tested against:
 it walks the closing step words of a length as integer bitmasks, keeps
-the least word of each rotation class and starts it from every vertex.
-An orbit is stored by its canonical presentation: the least (start
-vertex, step word) pair among the circuit's rotations, vertex first.
+the least word of each rotation class, starts it from every vertex and
+keeps the set of canonical presentations so reached. An orbit is stored
+by its canonical presentation: the least (start vertex, step word) pair
+among the circuit's rotations, vertex first. Enumeration uses only the
+graph, the stdlib and the argument checks and step notation of `words`;
+nothing from `numtheory`, the Lyndon generator or the Moebius sums.
 
 verify_range sweeps every connected two-step circulant graph up to a
 size bound and cross-checks the formula counts, the reduced/unreduced
-agreement and the repetition-number law against enumeration.
+agreement and the repetition-number law against enumeration, as one
+comparison table per (graph, length).
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -25,7 +31,6 @@ from .counting import (
 )
 from .errors import BudgetExceeded, InvariantViolated
 from .graph import CirculantGraph
-from .numtheory import binomial
 from .words import check_lk, resolve_budget, to_step_string
 
 
@@ -110,14 +115,15 @@ def enumerate_orbits(
     """All distinct periodic orbits of length l (restricted to b-count k if given).
 
     Walks the words of each closing b-count and keeps those least among
-    their rotations. Such a word x, of period p, meets each orbit of its
-    rotation class in the presentations (v, x), whose starts are v + pre[j*p];
-    the orbit's canonical presentation is the least of all its l. Output
-    is sorted by (b-count, start, steps). Connectivity is not required.
+    their rotations. Each orbit of such a word x's rotation class has a
+    presentation (v, x) for some start v, and its canonical presentation
+    is the least of its l presentations; the set of those minima over
+    every v therefore holds each orbit once. Output is sorted by
+    (b-count, start, steps). Connectivity is not required.
     """
     check_lk(l, 0 if k is None else k)
     budget = resolve_budget(budget)
-    candidates = (binomial(l, k) if k is not None else 2**l) * G.n
+    candidates = (math.comb(l, k) if k is not None else 2**l) * G.n
     if candidates > budget:
         raise BudgetExceeded(
             f"enumerating length {l} on C_{G.n}({G.a},{G.b}) needs "
@@ -134,22 +140,17 @@ def enumerate_orbits(
         for chosen in combinations([1 << i for i in range(l)], kk):
             x = sum(chosen)
             # x is least among its rotations iff the first rotation that
-            # is not larger than x is x itself, at the period p.
+            # is not larger than x is x itself.
             y = x
-            for p in range(1, l + 1):
+            for _ in range(l):
                 y = ((y << 1) & mask) | (y >> top)
                 if y <= x:
                     break
             if y < x:
                 continue
             rots, pre, repetition = _circuit(G, l, x)
-            seen = bytearray(n)
-            for v in range(n):
-                if not seen[v]:
-                    for d in pre[::p]:
-                        seen[(v + d) % n] = 1
-                    key = min([((v + d) % n << l) | r for d, r in zip(pre, rots)])
-                    found.append((kk, key, omega, repetition))
+            keys = {min([((v + d) % n << l) | r for d, r in zip(pre, rots)]) for v in range(n)}
+            found.extend((kk, key, omega, repetition) for key in keys)
     return [_orbit(key, l, omega, repetition) for _, key, omega, repetition in sorted(found)]
 
 
@@ -170,68 +171,45 @@ def verify_range(n_max: int, l_max: int, budget: int | None = None) -> dict:
     orbits, then checks per b-count counts (reduced formula), lattice-point
     agreement of the unreduced formula, totals per length, and the measured
     orbit repetition against gcd of word repetition and winding number.
-    Failures are report content, not exceptions.
+    Each case is one table of (kind, k or None, expected, actual) rows;
+    every row is a check and every unequal row a mismatch. Failures are
+    report content, not exceptions.
     """
     budget = resolve_budget(budget)
+    graphs = list(connected_graphs(n_max))
     cases = []
     mismatches = []
-    graphs = 0
     checks = 0
-
-    def record(G: CirculantGraph, l: int, kind: str, expected, actual, k=None):
-        entry = {"n": G.n, "a": G.a, "b": G.b, "l": l, "kind": kind,
-                 "expected": str(expected), "actual": str(actual)}
-        if k is not None:
-            entry["k"] = k
-        mismatches.append(entry)
-
-    for G in connected_graphs(n_max):
-        graphs += 1
+    for G in graphs:
         for l in range(1, l_max + 1):
-            case_ok = True
             orbits = enumerate_orbits(G, l, budget=budget)
-            prim_by_k: dict[int, int] = {}
-            for o in orbits:
-                if o.is_primitive():
-                    prim_by_k[o.k] = prim_by_k.get(o.k, 0) + 1
-
+            prim_by_k = Counter(o.k for o in orbits if o.is_primitive())
+            table = []
             for k in range(l + 1):
                 report = count_orbits_lk(G, l, k)
-                oracle_count = prim_by_k.get(k, 0)
-                checks += 1
-                if report.count != oracle_count:
-                    case_ok = False
-                    record(G, l, "reduced-vs-oracle", report.count, oracle_count, k=k)
+                table.append(("reduced-vs-oracle", k, report.count, prim_by_k[k]))
                 if report.omega is not None:
-                    unreduced = count_orbits_lk_unreduced(G, l, k)
-                    checks += 1
-                    if unreduced.count != report.count:
-                        case_ok = False
-                        record(G, l, "unreduced-vs-reduced", report.count, unreduced.count, k=k)
-
+                    table.append(("unreduced-vs-reduced", k, report.count,
+                                  count_orbits_lk_unreduced(G, l, k).count))
             total, per_class = count_orbits_l(G, l)
-            checks += 2
-            if total != sum(prim_by_k.values()):
-                case_ok = False
-                record(G, l, "total-vs-oracle", total, sum(prim_by_k.values()))
-            if total != sum(r.count for r in per_class):
-                case_ok = False
-                record(G, l, "total-vs-classes", total, sum(r.count for r in per_class))
+            table.append(("total-vs-oracle", None, total, sum(prim_by_k.values())))
+            table.append(("total-vs-classes", None, total, sum(r.count for r in per_class)))
+            table.extend(("repetition-law", o.k, predicted_repetition(G, o.steps), o.repetition)
+                         for o in orbits)
 
-            for o in orbits:
-                checks += 1
-                predicted = predicted_repetition(G, o.steps)
-                if predicted != o.repetition:
-                    case_ok = False
-                    record(G, l, "repetition-law", predicted, o.repetition, k=o.k)
-
+            checks += len(table)
+            failed = [row for row in table if row[2] != row[3]]
+            for kind, k, expected, actual in failed:
+                entry = {"n": G.n, "a": G.a, "b": G.b, "l": l, "kind": kind,
+                         "expected": str(expected), "actual": str(actual)}
+                mismatches.append(entry if k is None else {**entry, "k": k})
             cases.append({"n": G.n, "a": G.a, "b": G.b, "l": l,
-                          "orbits": len(orbits), "ok": case_ok})
+                          "orbits": len(orbits), "ok": not failed})
 
     return {
         "n_max": n_max,
         "l_max": l_max,
-        "graphs": graphs,
+        "graphs": len(graphs),
         "cases": len(cases),
         "checks": checks,
         "mismatches": mismatches,

@@ -335,6 +335,28 @@ def test_graph_bad_steps_exit_2(capsys):
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("lyndon", "list", "--length", "9", "--bcount", "3", "--steps", "5,x,2"),
+     "--steps wants comma-separated integers, got '5,x,2'"),
+    (("lyndon", "list", "--length", "9", "--bcount", "3", "--steps", "9,,4"),
+     "--steps wants comma-separated integers, got '9,,4'"),
+    (("lyndon", "list", "--length", "9", "--bcount", "3", "--steps", "9,1"),
+     "--steps wants n,a,b (three integers), got '9,1'"),
+    (("graph", "--n", "5", "--steps", "1,x"),
+     "--steps wants comma-separated integers, got '1,x'"),
+    (("graph", "--n", "5", "--steps", "1,,4"),
+     "--steps wants comma-separated integers, got '1,,4'"),
+    (("graph", "--n", "5", "--steps", ""),
+     "--steps wants comma-separated integers, got ''"),
+], ids=["lyndon-letter", "lyndon-empty-part", "lyndon-two-parts",
+        "graph-letter", "graph-empty-part", "graph-empty"])
+def test_steps_errors_name_the_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "5"])

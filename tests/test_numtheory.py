@@ -3,31 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from circorbits import binomial, divisors, extended_gcd, moebius, numtheory
+from circorbits import binomial, divisors, moebius, numtheory
 from circorbits.numtheory import moebius_divisors
 
 from brute import naive_divisors, naive_mu, pascal_table, scaled_binomial
-
-
-def test_extended_gcd_examples():
-    assert extended_gcd(1, 2) == (1, 1, 0)
-    assert extended_gcd(5, 9) == (1, 2, -1)
-    g, u, v = extended_gcd(4, 6)
-    assert g == 2 and 4 * u + 6 * v == 2
-
-
-def test_extended_gcd_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        extended_gcd(0, 3)
-    with pytest.raises(ValueError):
-        extended_gcd(3, 0)
-
-
-@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
-def test_extended_gcd_bezout_identity(a, b):
-    g, u, v = extended_gcd(a, b)
-    assert g == math.gcd(a, b)
-    assert u * a + v * b == g
 
 
 def test_moebius_examples():
