@@ -8,9 +8,11 @@ enumeration sweep) and graph (Graphviz DOT export).
 Exit codes are stable: 0 success, 1 verification mismatch, 2 parameter
 error, 3 disconnected graph, 4 budget exceeded, 5 internal invariant
 violated (a bug; the check also runs under python -O), and 141 from the
-`circorbits` entry point when the reader closes stdout early. Counts
-inside JSON are decimal strings so consumers are not limited to 53-bit
-integers.
+`circorbits` entry point when the reader closes stdout early.
+
+Only this module formats output: the library returns plain values and
+the JSON, CSV and text shapes are built here. Counts inside JSON are
+decimal strings so consumers are not limited to 53-bit integers.
 """
 
 from __future__ import annotations
@@ -32,8 +34,13 @@ from .oracle import enumerate_orbits, verify_range
 from .words import count_lyndon, list_lyndon, to_step_string
 
 
-def _graph_from(args: argparse.Namespace) -> CirculantGraph:
-    return CirculantGraph(args.n, args.a, args.b)
+def _report_json(G: CirculantGraph, method: str, report: OrbitCountReport) -> dict:
+    terms = [({} if t.q is None else {"q": t.q}) | {"m": t.m, "mu": t.mu,
+                                                    "binomial": str(t.binomial)}
+             for t in report.terms]
+    return {"n": G.n, "a": G.a, "b": G.b, "l": report.l, "k": report.k,
+            "omega": report.omega, "count": str(report.count), "terms": terms,
+            "method": method}
 
 
 def _print_report_plain(report: OrbitCountReport, indent: str = "") -> None:
@@ -45,14 +52,14 @@ def _print_report_plain(report: OrbitCountReport, indent: str = "") -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    G = _graph_from(args)
+    G = CirculantGraph(args.n, args.a, args.b)
     G.require_connected()
     l = args.length
     counter = count_orbits_lk_unreduced if args.method == "unreduced" else count_orbits_lk
     if args.bcount is not None:
         report = counter(G, l, args.bcount)
         if args.format == "json":
-            print(json.dumps(report.to_json_dict()))
+            print(json.dumps(_report_json(G, args.method, report)))
         else:
             print(f"C_{G.n}({G.a},{G.b}) length {l} b-count {args.bcount} "
                   f"method {args.method}")
@@ -68,7 +75,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         }
         if args.show_skipped:
             obj["skipped_omegas"] = skipped_windings(G, l)
-        obj["classes"] = [r.to_json_dict() for r in reports]
+        obj["classes"] = [_report_json(G, args.method, r) for r in reports]
         print(json.dumps(obj))
     else:
         print(f"C_{G.n}({G.a},{G.b}) length {l} method {args.method}")
@@ -82,7 +89,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    G = _graph_from(args)
+    G = CirculantGraph(args.n, args.a, args.b)
     B = basis(G)
     points = lattice_points(G, args.lmax)
     if args.format == "csv":
@@ -95,7 +102,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             "basis": {
                 "a_prime": B.a_prime, "d_prime": B.d_prime,
                 "l0": B.l0, "k0": B.k0,
-                "matrix_numerators": [list(row) for row in B.matrix_numerators()],
+                "matrix_numerators": [[B.k0, -B.l0], [B.a_prime, B.d_prime]],
                 "denominator": B.n,
             },
             "points": [{"l": c.l, "k": c.k, "omega": c.omega} for c in points],
@@ -115,25 +122,26 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
     if args.action == "count":
         print(count_lyndon(args.length, args.bcount))
         return 0
-    words = list_lyndon(args.length, args.bcount)
+    G = None
     if args.steps is not None:
         steps = _parse_steps(args.steps)
         if len(steps) != 3:
             raise ValueError(f"--steps wants n,a,b (three integers), got {args.steps!r}")
         G = CirculantGraph(*steps)
-        words = [to_step_string(w, G.a, G.b) for w in words]
-    for w in words:
-        print(w)
+    for w in list_lyndon(args.length, args.bcount):
+        print(w if G is None else to_step_string(w, G.a, G.b))
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    G = _graph_from(args)
+    G = CirculantGraph(args.n, args.a, args.b)
     orbits = enumerate_orbits(G, args.length, k=args.bcount, budget=args.budget)
     primitive = sum(1 for o in orbits if o.is_primitive())
     shown = [o for o in orbits if o.is_primitive()] if args.primitive_only else orbits
     for o in shown:
-        print(json.dumps(o.to_json_dict(G)))
+        print(json.dumps({"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
+                          "l": o.l, "k": o.k, "omega": o.omega,
+                          "repetition": o.repetition}))
     print(json.dumps({
         "orbits": len(orbits),
         "primitive": primitive,
@@ -195,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bcount", type=int, default=None)
     p.add_argument("--primitive-only", action="store_true")
     p.add_argument("--budget", type=int, default=None,
-                   help="candidate-presentation budget (default CIRCORBITS_BUDGET or 2^28)")
+                   help="work budget, charged max(W, l)*n*l for W candidate words "
+                        "(default CIRCORBITS_BUDGET or 2^28)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="sweep formulas against enumeration; exit 1 on mismatch")

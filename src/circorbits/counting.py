@@ -24,10 +24,6 @@ from .lattice import bcounts_for_length
 from .numtheory import binomial, divisors, moebius_divisors
 from .words import check_lk, decompose
 
-METHOD_REDUCED = "reduced"
-METHOD_UNREDUCED = "unreduced"
-
-
 class CountTerm(NamedTuple):
     """One signed binomial contribution; q is the repetition block (unreduced only)."""
 
@@ -36,40 +32,16 @@ class CountTerm(NamedTuple):
     binomial: int
     q: int | None = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {}
-        if self.q is not None:
-            out["q"] = self.q
-        out["m"] = self.m
-        out["mu"] = self.mu
-        out["binomial"] = str(self.binomial)
-        return out
-
 
 @dataclass(frozen=True)
 class OrbitCountReport:
     """A primitive-orbit count with its term-by-term breakdown."""
 
-    graph: CirculantGraph
     l: int
     k: int
     omega: int | None
     count: int
     terms: tuple[CountTerm, ...]
-    method: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.graph.n,
-            "a": self.graph.a,
-            "b": self.graph.b,
-            "l": self.l,
-            "k": self.k,
-            "omega": self.omega,
-            "count": str(self.count),
-            "terms": [t.to_json_dict() for t in self.terms],
-            "method": self.method,
-        }
 
 
 def _winding(G: CirculantGraph, l: int, k: int) -> int | None:
@@ -86,13 +58,13 @@ def _winding(G: CirculantGraph, l: int, k: int) -> int | None:
 
 
 def _finish(G: CirculantGraph, l: int, k: int, omega: int,
-            terms: list[CountTerm], method: str) -> OrbitCountReport:
+            terms: list[CountTerm]) -> OrbitCountReport:
     total = G.n * sum(t.mu * t.binomial for t in terms)
     count, rest = divmod(total, l)
     if rest or count < 0:
         raise InvariantViolated(f"count formula non-integral or negative for "
                                 f"C_{G.n}({G.a},{G.b}), l={l}, k={k}")
-    return OrbitCountReport(G, l, k, omega, count, tuple(terms), method)
+    return OrbitCountReport(l, k, omega, count, tuple(terms))
 
 
 def count_orbits_lk(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
@@ -103,10 +75,10 @@ def count_orbits_lk(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
     """
     omega = _winding(G, l, k)
     if omega is None:
-        return OrbitCountReport(G, l, k, None, 0, (), METHOD_REDUCED)
+        return OrbitCountReport(l, k, None, 0, ())
     terms = [CountTerm(m, mu, binomial(l // m, k // m))
              for m, mu in moebius_divisors(math.gcd(l, k, omega))]
-    return _finish(G, l, k, omega, terms, METHOD_REDUCED)
+    return _finish(G, l, k, omega, terms)
 
 
 def count_orbits_l(G: CirculantGraph, l: int) -> tuple[int, list[OrbitCountReport]]:
@@ -131,7 +103,7 @@ def count_orbits_lk_unreduced(G: CirculantGraph, l: int, k: int) -> OrbitCountRe
     terms = [CountTerm(m, mu, binomial(l // (q * m), k // (q * m)), q=q)
              for q in divisors(gamma) if math.gcd(q, omega) == 1
              for m, mu in moebius_divisors(gamma // q)]
-    return _finish(G, l, k, omega, terms, METHOD_UNREDUCED)
+    return _finish(G, l, k, omega, terms)
 
 
 def sum_reduction_check(gamma: int, omega: int, f: Mapping[int, int]) -> tuple[int, int]:

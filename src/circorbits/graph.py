@@ -66,8 +66,9 @@ class CirculantGraph:
         return delta // self.n
 
     def path_from(self, v: int, w: str) -> list[int]:
-        """Vertex sequence of the unique walk from v with step word w."""
-        check_word(w, allow_empty=True)
+        """Vertex sequence of the walk from v with step word w; [v] for the empty word."""
+        if w:
+            check_word(w)
         v %= self.n
         out = [v]
         for c in w:

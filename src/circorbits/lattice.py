@@ -41,9 +41,6 @@ class LatticeBasis:
     l0: int
     k0: int
 
-    def matrix_numerators(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.k0, -self.l0), (self.a_prime, self.d_prime))
-
     def to_coords(self, l: int, k: int) -> tuple[int, int]:
         """Map a lattice point (l, k) to its integer coordinates (x, y); y = omega/g."""
         xn = l * self.k0 - k * self.l0

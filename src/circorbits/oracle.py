@@ -6,7 +6,7 @@ the least word of each rotation class, starts it from every vertex and
 keeps the set of canonical presentations so reached. An orbit is stored
 by its canonical presentation: the least (start vertex, step word) pair
 among the circuit's rotations, vertex first. Enumeration uses only the
-graph, the stdlib and the argument checks and step notation of `words`;
+graph, the stdlib and the argument and budget checks of `words`;
 nothing from `numtheory`, the Lyndon generator or the Moebius sums.
 
 verify_range sweeps every connected two-step circulant graph up to a
@@ -31,7 +31,7 @@ from .counting import (
 )
 from .errors import BudgetExceeded, InvariantViolated
 from .graph import CirculantGraph
-from .words import check_lk, resolve_budget, to_step_string
+from .words import check_lk, resolve_budget
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,6 @@ class Orbit:
 
     def is_primitive(self) -> bool:
         return self.repetition == 1
-
-    def to_json_dict(self, G: CirculantGraph) -> dict:
-        return {
-            "start": self.start,
-            "steps": to_step_string(self.steps, G.a, G.b),
-            "l": self.l,
-            "k": self.k,
-            "omega": self.omega,
-            "repetition": self.repetition,
-        }
 
 
 _BITS = str.maketrans("ab", "01")
@@ -120,16 +110,20 @@ def enumerate_orbits(
     is the least of its l presentations; the set of those minima over
     every v therefore holds each orbit once. Output is sorted by
     (b-count, start, steps). Connectivity is not required.
+
+    Time and memory grow as max(W, l) * n * l for W candidate words, C(l, k)
+    or 2**l: each word is presented from n starts in l ways as l-bit keys.
+    Above the budget it refuses.
     """
     check_lk(l, 0 if k is None else k)
     budget = resolve_budget(budget)
-    candidates = (math.comb(l, k) if k is not None else 2**l) * G.n
-    if candidates > budget:
-        raise BudgetExceeded(
-            f"enumerating length {l} on C_{G.n}({G.a},{G.b}) needs "
-            f"{candidates} candidate presentations > budget {budget}"
-        )
     n = G.n
+    cost = l * l * n  # checked first: C(l, k) alone takes minutes for huge l
+    if cost <= budget:
+        cost = max(math.comb(l, k) if k is not None else 2**l, l) * n * l
+    if cost > budget:
+        raise BudgetExceeded(f"enumerating length {l} on C_{n}({G.a},{G.b}) costs at least "
+                             f"{cost} > budget {budget} (max(W, l)*n*l for W candidate words)")
     top = l - 1
     mask = (1 << l) - 1
     found = []

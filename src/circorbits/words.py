@@ -41,11 +41,9 @@ class WordDecomposition(NamedTuple):
     repetition: int
 
 
-def check_word(w: str, allow_empty: bool = False) -> str:
-    """Validate that w is a word over {a, b}; return it unchanged."""
+def check_word(w: str) -> str:
+    """Validate that w is a nonempty word over {a, b}; return it unchanged."""
     if not w:
-        if allow_empty:
-            return w
         raise ValueError("word must be nonempty")
     bad = set(w) - {"a", "b"}
     if bad:

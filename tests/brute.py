@@ -170,3 +170,41 @@ def enumerate_orbits_reference(n, a, b, l, k=None):
                 out.append((start, steps, omega, repetition))
     out.sort(key=lambda o: (o[1].count("b"), o[0], o[1]))
     return out
+
+
+def closed_walks_binomial(n, a, b, l):
+    """tr(A^l) of C_n(a, b): n times the sum of C(l, k) over the closing b-counts k.
+
+    Walks row l of Pascal's triangle, C(l, k+1) = C(l, k) * (l-k) / (k+1).
+    """
+    total, c = 0, 1
+    for k in range(l + 1):
+        if (l * a + k * (b - a)) % n == 0:
+            total += c
+        c = c * (l - k) // (k + 1)
+    return n * total
+
+
+def closed_walks_polynomial(n, a, b, l):
+    """tr(A^l) of C_n(a, b) without binomials, by repeated squaring.
+
+    It is n times the x^0 coefficient of (x^a + x^b)^l mod (x^n - 1).
+    """
+    def mul(p, q):
+        out = [0] * n
+        for i, pi in enumerate(p):
+            if pi:
+                for j, qj in enumerate(q):
+                    out[(i + j) % n] += pi * qj
+        return out
+
+    power = [1] + [0] * (n - 1)
+    base = [0] * n
+    base[a] += 1
+    base[b] += 1
+    while l:
+        if l & 1:
+            power = mul(power, base)
+        base = mul(base, base)
+        l >>= 1
+    return n * power[0]

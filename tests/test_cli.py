@@ -4,10 +4,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from circorbits import counting, divisors, moebius, oracle
+from circorbits import cli, counting, divisors, moebius, oracle
 from circorbits.cli import main
 
 
@@ -248,6 +249,25 @@ def test_enumerate_budget_exits_4(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # one word, but presented from 5 starts in 40000 ways as 40000-bit keys
+    (("--n", "5", "--a", "1", "--b", "2", "--length", "40000", "--bcount", "0"),
+     "costs at least 8000000000 > budget 268435456"),
+    # refused on l*l*n before C(10^6, 5 * 10^5), which alone takes minutes
+    (("--n", "5", "--a", "1", "--b", "2", "--length", "1000000", "--bcount", "500000"),
+     "costs at least 5000000000000 > budget 268435456"),
+    # l*l*n = 729 fits; 2**9 words charge 512 * 9 * 9
+    (("--n", "9", "--a", "1", "--b", "4", "--length", "9", "--budget", "1000"),
+     "costs at least 41472 > budget 1000 (max(W, l)*n*l for W candidate words)"),
+], ids=["one-long-word", "huge-binomial", "word-count"])
+def test_enumerate_budget_charge(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (4, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("argv, env, message", [
     (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9", "--budget", "0"),
      None, "budget must be >= 1, got 0"),
@@ -355,6 +375,18 @@ def test_steps_errors_name_the_flag(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("steps", ["1,x,2", "9,4,1"])
+def test_lyndon_list_checks_steps_before_generating(capsys, monkeypatch, steps):
+    def fail(*args):
+        raise AssertionError("list_lyndon called before --steps was checked")
+
+    monkeypatch.setattr(cli, "list_lyndon", fail)
+    code, out, _ = run_cli(capsys, "lyndon", "list", "--length", "22", "--bcount", "11",
+                           "--steps", steps)
+    assert code == 2
+    assert out == ""
 
 
 def test_unknown_flags_exit_2(capsys):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circorbits import (
     CirculantGraph,
@@ -21,7 +22,9 @@ from circorbits import (
     predicted_repetition,
     sum_reduction_check,
 )
-from circorbits.counting import METHOD_REDUCED, _finish
+from circorbits.counting import _finish
+
+from brute import closed_walks_binomial, closed_walks_polynomial
 
 
 def test_reduced_big_example():
@@ -170,7 +173,47 @@ def test_non_integral_finish_raises_invariant_violated():
     # 9 * 1 is not a multiple of l = 7: a formula bug, reported even under python -O
     G = CirculantGraph(9, 1, 4)
     with pytest.raises(InvariantViolated, match="non-integral"):
-        _finish(G, 7, 2, 1, [CountTerm(1, 1, 1)], METHOD_REDUCED)
+        _finish(G, 7, 2, 1, [CountTerm(1, 1, 1)])
     with pytest.raises(InvariantViolated):
-        _finish(G, 9, 3, 2, [CountTerm(1, -1, 1)], METHOD_REDUCED)
-    assert _finish(G, 9, 3, 2, [CountTerm(1, 1, 84)], METHOD_REDUCED).count == 84
+        _finish(G, 9, 3, 2, [CountTerm(1, -1, 1)])
+    assert _finish(G, 9, 3, 2, [CountTerm(1, 1, 84)]).count == 84
+
+
+def _closed_walks_from_counts(G, l):
+    # Each primitive orbit of length m | l gives m closed walks of length l.
+    return sum(m * count_orbits_l(G, m)[0] for m in divisors(l))
+
+
+def test_closed_walk_identity_against_polynomial():
+    for G in connected_graphs(9):
+        for l in range(1, 40):
+            expected = closed_walks_polynomial(G.n, G.a, G.b, l)
+            assert _closed_walks_from_counts(G, l) == expected, (G, l)
+            assert closed_walks_binomial(G.n, G.a, G.b, l) == expected, (G, l)
+
+
+@st.composite
+def _connected_graph_and_class_length(draw):
+    # l is a multiple of gcd(n, b - a): any other length has no classes.
+    n = draw(st.integers(min_value=3, max_value=300), label="n")
+    a = draw(st.integers(min_value=1, max_value=n - 2), label="a")
+    b = draw(st.integers(min_value=a + 1, max_value=n - 1), label="b")
+    assume(math.gcd(n, a, b) == 1)
+    h = math.gcd(n, b - a)
+    return CirculantGraph(n, a, b), h * draw(st.integers(1, 10**4 // h), label="l // h")
+
+
+@settings(max_examples=25, deadline=None)
+@given(_connected_graph_and_class_length())
+def test_closed_walk_identity_at_scale(case):
+    # sum over m | l of m * P(m) = tr(A^l), with P(m) the formula total
+    G, l = case
+    assert _closed_walks_from_counts(G, l) == closed_walks_binomial(G.n, G.a, G.b, l)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_connected_graph_and_class_length())
+def test_reduced_equals_unreduced_at_scale(case):
+    G, l = case
+    for c in bcounts_for_length(G, l):
+        assert count_orbits_lk(G, l, c.k).count == count_orbits_lk_unreduced(G, l, c.k).count, c
