@@ -32,7 +32,6 @@ from .numtheory import binomial, divisors, moebius
 from .oracle import Orbit, connected_graphs, enumerate_orbits, phi, verify_range
 from .words import (
     WordDecomposition,
-    b_count,
     count_lyndon,
     count_nonprimitive,
     decompose,
@@ -57,7 +56,6 @@ __all__ = [
     "OrbitCountReport",
     "RejectedParameters",
     "WordDecomposition",
-    "b_count",
     "basis",
     "bcounts_for_length",
     "binomial",

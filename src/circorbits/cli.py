@@ -53,7 +53,6 @@ def _print_report_plain(report: OrbitCountReport, indent: str = "") -> None:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     G = CirculantGraph(args.n, args.a, args.b)
-    G.require_connected()
     l = args.length
     counter = count_orbits_lk_unreduced if args.method == "unreduced" else count_orbits_lk
     if args.bcount is not None:
@@ -136,16 +135,15 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     G = CirculantGraph(args.n, args.a, args.b)
     orbits = enumerate_orbits(G, args.length, k=args.bcount, budget=args.budget)
-    primitive = sum(1 for o in orbits if o.is_primitive())
-    shown = [o for o in orbits if o.is_primitive()] if args.primitive_only else orbits
-    for o in shown:
+    primitive = [o for o in orbits if o.is_primitive()]
+    for o in primitive if args.primitive_only else orbits:
         print(json.dumps({"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
                           "l": o.l, "k": o.k, "omega": o.omega,
                           "repetition": o.repetition}))
     print(json.dumps({
         "orbits": len(orbits),
-        "primitive": primitive,
-        "nonprimitive": len(orbits) - primitive,
+        "primitive": len(primitive),
+        "nonprimitive": len(orbits) - len(primitive),
     }))
     return 0
 

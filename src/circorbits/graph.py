@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DisconnectedGraph, DoesNotClose, RejectedParameters
-from .words import b_count, check_word
+from .words import check_word
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class CirculantGraph:
     def transit_distance(self, w: str) -> int:
         """Sum of step sizes along the word: (l-k)*a + k*b = l*a + k*d."""
         check_word(w)
-        k = b_count(w)
+        k = w.count("b")
         return (len(w) - k) * self.a + k * self.b
 
     def winding_number(self, w: str) -> int:

@@ -29,7 +29,7 @@ from .counting import (
     count_orbits_lk_unreduced,
     predicted_repetition,
 )
-from .errors import BudgetExceeded, InvariantViolated
+from .errors import BudgetExceeded, InvariantViolated, RejectedParameters
 from .graph import CirculantGraph
 from .words import check_lk, resolve_budget
 
@@ -55,10 +55,6 @@ class Orbit:
         return self.repetition == 1
 
 
-_BITS = str.maketrans("ab", "01")
-_LETTERS = str.maketrans("01", "ab")
-
-
 def _circuit(G: CirculantGraph, l: int, x: int) -> tuple[list[int], list[int], int]:
     """Rotations, prefix distances and repetition of a circuit with l-letter word x.
 
@@ -80,7 +76,7 @@ def _circuit(G: CirculantGraph, l: int, x: int) -> tuple[list[int], list[int], i
 
 def _orbit(key: int, l: int, omega: int, repetition: int) -> Orbit:
     """The orbit with canonical presentation (key >> l, low l bits of key)."""
-    steps = format(key & ((1 << l) - 1), f"0{l}b").translate(_LETTERS)
+    steps = format(key & ((1 << l) - 1), f"0{l}b").replace("0", "a").replace("1", "b")
     return Orbit(key >> l, steps, omega, repetition)
 
 
@@ -88,7 +84,7 @@ def phi(G: CirculantGraph, w: str, v: int) -> Orbit:
     """Canonical periodic orbit of the circuit starting at v with step word w."""
     omega = G.winding_number(w)
     l, n = len(w), G.n
-    rots, pre, repetition = _circuit(G, l, int(w.translate(_BITS), 2))
+    rots, pre, repetition = _circuit(G, l, int(w.replace("a", "0").replace("b", "1"), 2))
     keys = {((v + p) % n << l) | r for p, r in zip(pre, rots)}
     if len(keys) * repetition != l:
         raise InvariantViolated(f"{len(keys)} presentations of {w!r} with repetition "
@@ -167,9 +163,11 @@ def verify_range(n_max: int, l_max: int, budget: int | None = None) -> dict:
     orbit repetition against gcd of word repetition and winding number.
     Each case is one table of (kind, k or None, expected, actual) rows;
     every row is a check and every unequal row a mismatch. Failures are
-    report content, not exceptions.
+    report content, not exceptions; an l_max below 1 is refused.
     """
     budget = resolve_budget(budget)
+    if l_max < 1:
+        raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
     graphs = list(connected_graphs(n_max))
     cases = []
     mismatches = []

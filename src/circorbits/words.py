@@ -41,19 +41,13 @@ class WordDecomposition(NamedTuple):
     repetition: int
 
 
-def check_word(w: str) -> str:
-    """Validate that w is a nonempty word over {a, b}; return it unchanged."""
+def check_word(w: str) -> None:
+    """Validate that w is a nonempty word over {a, b}."""
     if not w:
         raise ValueError("word must be nonempty")
     bad = set(w) - {"a", "b"}
     if bad:
         raise ValueError(f"word may only contain letters 'a' and 'b', got {sorted(bad)}")
-    return w
-
-
-def b_count(w: str) -> int:
-    """Number of 'b' letters in the word."""
-    return w.count("b")
 
 
 def decompose(w: str) -> WordDecomposition:
@@ -146,10 +140,9 @@ def list_lyndon(l: int, k: int, budget: int | None = None) -> list[str]:
 def to_step_string(w: str, a: int, b: int) -> str:
     """Render a word using the graph's step sizes, e.g. 'aab' -> '114' on steps (1, 4).
 
-    Single-digit steps concatenate; larger steps are comma-separated since
-    concatenated digits would be ambiguous.
+    The steps are concatenated when b <= 9 and otherwise separated by
+    commas, since concatenated multi-digit steps would be ambiguous.
     """
     check_word(w)
-    if b <= 9:
-        return w.translate(str.maketrans({"a": str(a), "b": str(b)}))
-    return w.translate(str.maketrans({"a": f"{a},", "b": f"{b},"}))[:-1]
+    sep = "" if b <= 9 else ","
+    return w.replace("a", f"{a}{sep}").replace("b", f"{b}{sep}").removesuffix(",")

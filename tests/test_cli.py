@@ -300,6 +300,14 @@ def test_verify_empty(capsys):
     assert json.loads(out)["graphs"] == 0
 
 
+@pytest.mark.parametrize("lmax", ["0", "-2"])
+def test_verify_lmax_below_1_exits_2(capsys, lmax):
+    code, out, err = run_cli(capsys, "verify", "--nmax", "5", "--lmax", lmax)
+    assert code == 2
+    assert out == ""
+    assert f"l_max must be >= 1, got {lmax}" in err
+
+
 def test_verify_failure_report_is_unchanged(capsys, monkeypatch):
     # Each formula the sweep checks is off by one on a few (graph, length)
     # cases, so all five mismatch kinds are reported. The digest pins the

@@ -217,3 +217,16 @@ def test_reduced_equals_unreduced_at_scale(case):
     G, l = case
     for c in bcounts_for_length(G, l):
         assert count_orbits_lk(G, l, c.k).count == count_orbits_lk_unreduced(G, l, c.k).count, c
+
+
+@pytest.mark.parametrize("l", [360, 720, 840, 1260, 2520])
+def test_reduced_equals_unreduced_at_composite_lengths(l):
+    # Highly composite lengths give classes with a large gcd(l, k), so the
+    # unreduced route sums many repetition blocks q; random draws rarely do.
+    # A block q divides l*a + k*d = omega*n and is coprime to omega, so q | n:
+    # large blocks need an n with large divisors.
+    for G in (CirculantGraph(7, 1, 3), CirculantGraph(13, 2, 7), CirculantGraph(21, 4, 10),
+              CirculantGraph(11, 1, 2), CirculantGraph(30, 7, 13), CirculantGraph(40, 3, 7),
+              CirculantGraph(60, 7, 13)):
+        for c in bcounts_for_length(G, l):
+            assert count_orbits_lk(G, l, c.k).count == count_orbits_lk_unreduced(G, l, c.k).count, (G, c)

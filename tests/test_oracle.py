@@ -8,12 +8,14 @@ from circorbits import (
     BudgetExceeded,
     CirculantGraph,
     DoesNotClose,
+    RejectedParameters,
     bcounts_for_length,
     count_lyndon,
     count_orbits_lk,
     enumerate_orbits,
     list_lyndon,
     connected_graphs,
+    oracle,
     phi,
     verify_range,
 )
@@ -182,6 +184,16 @@ def test_verify_range_degenerate_is_empty():
     assert report["passed"]
     assert report["graphs"] == 0
     assert report["cases"] == 0
+
+
+@pytest.mark.parametrize("l_max", [0, -2])
+def test_verify_range_refuses_l_max_below_1(monkeypatch, l_max):
+    monkeypatch.setattr(oracle, "connected_graphs", None)  # refused before the sweep starts
+    with pytest.raises(RejectedParameters, match=f"l_max must be >= 1, got {l_max}"):
+        verify_range(5, l_max)
+    # the budget is resolved first
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        verify_range(5, l_max, budget=0)
 
 
 def test_verify_range_covers_the_84_class():

@@ -1,11 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from circorbits import (
     BudgetExceeded,
-    b_count,
     count_lyndon,
     count_nonprimitive,
     decompose,
@@ -126,7 +125,7 @@ def test_list_lyndon_exhaustive_consistency_up_to_18():
             assert all(is_lyndon(w) for w in words)
             assert all(decompose(w).repetition == 1 for w in words)
             assert words == sorted(words)
-            assert all(len(w) == l and b_count(w) == k for w in words)
+            assert all(len(w) == l and w.count("b") == k for w in words)
 
 
 def test_list_lyndon_matches_direct_rotation_filter():
@@ -188,3 +187,35 @@ def test_step_string_round_trip():
         assert to_step_string(w, 1, 4).translate(str.maketrans("14", "ab")) == w
         steps = to_step_string(w, 4, 10).split(",")
         assert "".join("a" if step == "4" else "b" for step in steps) == w
+
+
+@st.composite
+def _steps(draw):
+    a = draw(st.integers(1, 999), label="a")
+    return a, draw(st.integers(a + 1, 1000), label="b")
+
+
+@given(st.text(alphabet="ab", min_size=1, max_size=40), _steps())
+@example("abba", (8, 9))
+@example("b", (3, 9))
+@example("abba", (9, 10))
+@example("b", (3, 10))
+def test_step_string_matches_per_letter_reference(w, steps):
+    a, b = steps
+    expected = ("" if b <= 9 else ",").join(str(a if c == "a" else b) for c in w)
+    assert to_step_string(w, a, b) == expected
+
+
+@st.composite
+def _word_with_other_letter(draw):
+    w = draw(st.text(alphabet="ab", max_size=39))
+    i = draw(st.integers(0, len(w)))
+    return w[:i] + draw(st.characters().filter(lambda c: c not in "ab")) + w[i:]
+
+
+@given(_word_with_other_letter(), _steps())
+@example("abc", (1, 4))
+@example("a,b", (4, 10))
+def test_step_string_refuses_other_letters(w, steps):
+    with pytest.raises(ValueError, match="only contain letters"):
+        to_step_string(w, *steps)
