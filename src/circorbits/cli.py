@@ -136,15 +136,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     G = CirculantGraph(args.n, args.a, args.b)
     orbits = enumerate_orbits(G, args.length, k=args.bcount, budget=args.budget)
     primitive = [o for o in orbits if o.is_primitive()]
+    # json.dumps layout; ints and strings of digits and commas need no escaping.
     for o in primitive if args.primitive_only else orbits:
-        print(json.dumps({"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
-                          "l": o.l, "k": o.k, "omega": o.omega,
-                          "repetition": o.repetition}))
-    print(json.dumps({
-        "orbits": len(orbits),
-        "primitive": len(primitive),
-        "nonprimitive": len(orbits) - len(primitive),
-    }))
+        print(f'{{"start": {o.start}, "steps": "{to_step_string(o.steps, G.a, G.b)}", '
+              f'"l": {o.l}, "k": {o.k}, "omega": {o.omega}, "repetition": {o.repetition}}}')
+    print(json.dumps({"orbits": len(orbits), "primitive": len(primitive),
+                      "nonprimitive": len(orbits) - len(primitive)}))
     return 0
 
 

@@ -1,27 +1,31 @@
 """Brute-force enumeration of periodic orbits on small graphs.
 
-This module is the ground truth the closed formulas are tested against:
-it walks the closing step words of a length as integer bitmasks, keeps
-the least word of each rotation class, starts it from every vertex and
-keeps the set of canonical presentations so reached. An orbit is stored
-by its canonical presentation: the least (start vertex, step word) pair
-among the circuit's rotations, vertex first. Enumeration uses only the
-graph, the stdlib and the argument and budget checks of `words`;
-nothing from `numtheory`, the Lyndon generator or the Moebius sums.
+This module is the ground truth the closed formulas are tested against.
+It walks the closing step words of a length as integer bitmasks and keeps
+the least word x of each rotation class. An orbit is stored by its
+canonical presentation: the least (start vertex, step word) pair among
+the circuit's rotations, vertex first, as the key (start << l) | word.
+Enumeration uses only the graph, the stdlib and the argument and budget
+checks of `words`; nothing from `numtheory`, the Lyndon generator or
+the Moebius sums.
+
+Residue-gap rule, O(l + n) per word: the circuit (v, x) is presented at
+(v + r) % n for each prefix residue r (a prefix's walked distance mod n),
+and best[r] is the least rotation reached at r. With residues 0 = r_0 <
+... < r_m and r_{-1} = r_m - n, the starts whose least vertex u comes from
+r_j have u in range(r_j - r_{j-1}); x's orbits are {(u << l) | best[r_j]}.
 
 verify_range sweeps every connected two-step circulant graph up to a
 size bound and cross-checks the formula counts, the reduced/unreduced
-agreement and the repetition-number law against enumeration, as one
-comparison table per (graph, length).
+agreement and the repetition-number law against enumeration.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .counting import (
     count_orbits_l,
@@ -34,8 +38,7 @@ from .graph import CirculantGraph
 from .words import check_lk, resolve_budget
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """A periodic orbit in canonical form; repetition 1 means primitive."""
 
     start: int
@@ -56,63 +59,45 @@ class Orbit:
 
 
 def _circuit(G: CirculantGraph, l: int, x: int) -> tuple[list[int], list[int], int]:
-    """Rotations, prefix distances and repetition of a circuit with l-letter word x.
+    """Rotations, prefix residues and repetition of a circuit with l-letter word x.
 
     Letter i of x is bit l-1-i ('b' = 1), so integer order is lexicographic
-    order. The circuit (v, x) is also ((v + pre[s]) % n, rots[s]); the
-    number of s fixing it does not depend on v and is the repetition.
+    order. res[s] is the distance the first s steps walk, mod n, and the
+    circuit (v, x) is also ((v + res[s]) % n, rots[s]); the number of s
+    fixing it does not depend on v and is the repetition.
     """
     mask = (1 << l) - 1
-    a, b = G.a, G.b
-    rots, pre, total = [], [], 0
+    n, a, b = G.n, G.a, G.b
+    rots, res, d = [], [], 0
     for _ in range(l):
         rots.append(x)
-        pre.append(total)
+        res.append(d)
         letter = x >> (l - 1)
-        total += b if letter else a
+        d = (d + (b if letter else a)) % n
         x = ((x << 1) & mask) | letter
-    return rots, pre, sum(1 for p, r in zip(pre, rots) if r == x and p % G.n == 0)
+    return rots, res, sum(1 for d, r in zip(res, rots) if r == x and d == 0)
 
 
-def _orbit(key: int, l: int, omega: int, repetition: int) -> Orbit:
-    """The orbit with canonical presentation (key >> l, low l bits of key)."""
-    steps = format(key & ((1 << l) - 1), f"0{l}b").replace("0", "a").replace("1", "b")
-    return Orbit(key >> l, steps, omega, repetition)
+def _steps(x: int, l: int) -> str:
+    """The l-letter word of the l-bit integer x."""
+    return format(x, f"0{l}b").replace("0", "a").replace("1", "b")
 
 
 def phi(G: CirculantGraph, w: str, v: int) -> Orbit:
     """Canonical periodic orbit of the circuit starting at v with step word w."""
     omega = G.winding_number(w)
     l, n = len(w), G.n
-    rots, pre, repetition = _circuit(G, l, int(w.replace("a", "0").replace("b", "1"), 2))
-    keys = {((v + p) % n << l) | r for p, r in zip(pre, rots)}
+    rots, res, repetition = _circuit(G, l, int(w.replace("a", "0").replace("b", "1"), 2))
+    keys = {((v + d) % n << l) | r for d, r in zip(res, rots)}
     if len(keys) * repetition != l:
         raise InvariantViolated(f"{len(keys)} presentations of {w!r} with repetition "
                                 f"{repetition} on C_{n}({G.a},{G.b})")
-    return _orbit(min(keys), l, omega, repetition)
+    key = min(keys)
+    return Orbit(key >> l, _steps(key & ((1 << l) - 1), l), omega, repetition)
 
 
-def enumerate_orbits(
-    G: CirculantGraph,
-    l: int,
-    k: int | None = None,
-    budget: int | None = None,
-) -> list[Orbit]:
-    """All distinct periodic orbits of length l (restricted to b-count k if given).
-
-    Walks the words of each closing b-count and keeps those least among
-    their rotations. Each orbit of such a word x's rotation class has a
-    presentation (v, x) for some start v, and its canonical presentation
-    is the least of its l presentations; the set of those minima over
-    every v therefore holds each orbit once. Output is sorted by
-    (b-count, start, steps). Connectivity is not required.
-
-    Time and memory grow as max(W, l) * n * l for W candidate words, C(l, k)
-    or 2**l: each word is presented from n starts in l ways as l-bit keys.
-    Above the budget it refuses.
-    """
-    check_lk(l, 0 if k is None else k)
-    budget = resolve_budget(budget)
+def _charge(G: CirculantGraph, l: int, k: int | None, budget: int) -> None:
+    """Refuse enumerating length l (b-count k, or every b-count) above the budget."""
     n = G.n
     cost = l * l * n  # checked first: C(l, k) alone takes minutes for huge l
     if cost <= budget:
@@ -120,15 +105,25 @@ def enumerate_orbits(
     if cost > budget:
         raise BudgetExceeded(f"enumerating length {l} on C_{n}({G.a},{G.b}) costs at least "
                              f"{cost} > budget {budget} (max(W, l)*n*l for W candidate words)")
-    top = l - 1
-    mask = (1 << l) - 1
-    found = []
+
+
+def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tuple]:
+    """(k, omega, x, repetition, keys) for each least word x of a closing b-count.
+
+    keys holds the canonical keys of the orbits of x's rotation class,
+    from x's residue gaps (see the module docstring).
+    """
+    n, top, mask = G.n, l - 1, (1 << l) - 1
+    inner = [1 << i for i in range(1, top)]
     for kk in range(l + 1) if k is None else [k]:
         omega, rest = divmod(l * G.a + kk * G.d, n)
         if rest:
             continue
-        for chosen in combinations([1 << i for i in range(l)], kk):
-            x = sum(chosen)
+        # With 0 < k < l a least word starts with 'a' and ends with 'b',
+        # else a rotation by one letter is smaller.
+        words = ((sum(c, 1) for c in combinations(inner, kk - 1)) if 0 < kk < l
+                 else [mask if kk else 0])
+        for x in words:
             # x is least among its rotations iff the first rotation that
             # is not larger than x is x itself.
             y = x
@@ -138,10 +133,40 @@ def enumerate_orbits(
                     break
             if y < x:
                 continue
-            rots, pre, repetition = _circuit(G, l, x)
-            keys = {min([((v + d) % n << l) | r for d, r in zip(pre, rots)]) for v in range(n)}
-            found.extend((kk, key, omega, repetition) for key in keys)
-    return [_orbit(key, l, omega, repetition) for _, key, omega, repetition in sorted(found)]
+            rots, res, repetition = _circuit(G, l, x)
+            best: dict[int, int] = {}
+            for d, r in zip(res, rots):
+                if r < best.get(d, mask + 1):
+                    best[d] = r
+            up = sorted(best)
+            keys: set[int] = set()
+            for d, below in zip(up, [up[-1] - n] + up[:-1]):
+                keys.update(range(best[d], (d - below) << l, 1 << l))
+            yield kk, omega, x, repetition, keys
+
+
+def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None,
+                     budget: int | None = None) -> list[Orbit]:
+    """All distinct periodic orbits of length l (restricted to b-count k if given).
+
+    Walks the words of each closing b-count, keeps those least among their
+    rotations and takes their orbits' canonical presentations from every
+    start at once: the starts in the gap below a sorted prefix residue have
+    their least vertex there (module docstring). Output is sorted by
+    (b-count, start, steps). Connectivity is not required.
+
+    Time grows as about W * (l + n) for W candidate words, C(l, k) or 2**l;
+    the budget still charges max(W, l) * n * l and refuses above it.
+    """
+    check_lk(l, 0 if k is None else k)
+    _charge(G, l, k, resolve_budget(budget))
+    found = []
+    for kk, omega, _, repetition, keys in _rotation_classes(G, l, k):
+        found.extend((kk, key, omega, repetition) for key in keys)
+    found.sort()
+    mask = (1 << l) - 1
+    return [Orbit(key >> l, _steps(key & mask, l), omega, repetition)
+            for _, key, omega, repetition in found]
 
 
 def connected_graphs(n_max: int) -> Iterator[CirculantGraph]:
@@ -157,25 +182,31 @@ def connected_graphs(n_max: int) -> Iterator[CirculantGraph]:
 def verify_range(n_max: int, l_max: int, budget: int | None = None) -> dict:
     """Cross-check formulas against enumeration on every connected graph up to n_max.
 
-    For each graph and each length l <= l_max the oracle enumerates all
-    orbits, then checks per b-count counts (reduced formula), lattice-point
-    agreement of the unreduced formula, totals per length, and the measured
-    orbit repetition against gcd of word repetition and winding number.
-    Each case is one table of (kind, k or None, expected, actual) rows;
-    every row is a check and every unequal row a mismatch. Failures are
-    report content, not exceptions; an l_max below 1 is refused.
+    For each graph and length l <= l_max it walks the rotation classes of
+    the closing words and checks per b-count counts (reduced formula),
+    lattice-point agreement of the unreduced formula, totals per length,
+    and per orbit the repetition law (measured repetition = gcd of word
+    repetition and winding, all shared by a class, so evaluated once per
+    least word). A case is one table of (kind, k or None, expected, actual)
+    rows plus a check per orbit, failing orbits in (b-count, start, steps)
+    order. Mismatches are report content; an l_max below 1 is refused.
     """
     budget = resolve_budget(budget)
     if l_max < 1:
         raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
     graphs = list(connected_graphs(n_max))
-    cases = []
-    mismatches = []
-    checks = 0
+    cases, mismatches, checks = [], [], 0
     for G in graphs:
         for l in range(1, l_max + 1):
-            orbits = enumerate_orbits(G, l, budget=budget)
-            prim_by_k = Counter(o.k for o in orbits if o.is_primitive())
+            _charge(G, l, None, budget)
+            orbits, prim_by_k, wrong = 0, Counter(), []
+            for k, _, x, repetition, keys in _rotation_classes(G, l, None):
+                orbits += len(keys)
+                if repetition == 1:
+                    prim_by_k[k] += len(keys)
+                predicted = predicted_repetition(G, _steps(x, l))
+                if predicted != repetition:
+                    wrong.extend((k, key, predicted, repetition) for key in keys)
             table = []
             for k in range(l + 1):
                 report = count_orbits_lk(G, l, k)
@@ -186,17 +217,18 @@ def verify_range(n_max: int, l_max: int, budget: int | None = None) -> dict:
             total, per_class = count_orbits_l(G, l)
             table.append(("total-vs-oracle", None, total, sum(prim_by_k.values())))
             table.append(("total-vs-classes", None, total, sum(r.count for r in per_class)))
-            table.extend(("repetition-law", o.k, predicted_repetition(G, o.steps), o.repetition)
-                         for o in orbits)
 
-            checks += len(table)
+            # One repetition-law check per orbit; failures follow the table's.
+            checks += len(table) + orbits
             failed = [row for row in table if row[2] != row[3]]
+            failed.extend(("repetition-law", k, predicted, repetition)
+                          for k, _, predicted, repetition in sorted(wrong))
             for kind, k, expected, actual in failed:
                 entry = {"n": G.n, "a": G.a, "b": G.b, "l": l, "kind": kind,
                          "expected": str(expected), "actual": str(actual)}
                 mismatches.append(entry if k is None else {**entry, "k": k})
             cases.append({"n": G.n, "a": G.a, "b": G.b, "l": l,
-                          "orbits": len(orbits), "ok": not failed})
+                          "orbits": orbits, "ok": not failed})
 
     return {
         "n_max": n_max,

@@ -45,8 +45,8 @@ def check_word(w: str) -> None:
     """Validate that w is a nonempty word over {a, b}."""
     if not w:
         raise ValueError("word must be nonempty")
-    bad = set(w) - {"a", "b"}
-    if bad:
+    if w.count("a") + w.count("b") != len(w):
+        bad = set(w) - {"a", "b"}
         raise ValueError(f"word may only contain letters 'a' and 'b', got {sorted(bad)}")
 
 

@@ -8,7 +8,17 @@ import time
 
 import pytest
 
-from circorbits import cli, counting, divisors, moebius, oracle
+from circorbits import (
+    BudgetExceeded,
+    CirculantGraph,
+    cli,
+    counting,
+    divisors,
+    enumerate_orbits,
+    moebius,
+    oracle,
+    to_step_string,
+)
 from circorbits.cli import main
 
 
@@ -242,6 +252,27 @@ def test_enumerate_empty_length(capsys):
     assert json.loads(lines[0]) == {"orbits": 0, "primitive": 0, "nonprimitive": 0}
 
 
+@pytest.mark.parametrize("with_bcount", [False, True], ids=["every-bcount", "bcount"])
+@pytest.mark.parametrize("primitive_only", [False, True], ids=["all", "primitive-only"])
+@pytest.mark.parametrize("steps", [(9, 1, 4), (12, 1, 10)], ids=["b-below-10", "comma-steps"])
+def test_enumerate_lines_are_json(capsys, steps, primitive_only, with_bcount):
+    # b-count 3 closes at length 9 on both graphs
+    G = CirculantGraph(*steps)
+    argv = ["enumerate", "--n", str(G.n), "--a", str(G.a), "--b", str(G.b), "--length", "9"]
+    argv += ["--bcount", "3"] * with_bcount + ["--primitive-only"] * primitive_only
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert all(json.dumps(json.loads(line)) == line for line in lines)
+    orbits = enumerate_orbits(G, 9, 3 if with_bcount else None)
+    shown = [o for o in orbits if o.is_primitive() or not primitive_only]
+    assert [json.loads(line) for line in lines[:-1]] == [
+        {"start": o.start, "steps": to_step_string(o.steps, G.a, G.b), "l": o.l, "k": o.k,
+         "omega": o.omega, "repetition": o.repetition} for o in shown]
+    assert len(shown) > 10
+    assert any("," in json.loads(line)["steps"] for line in lines[:-1]) == (G.b >= 10)
+
+
 def test_enumerate_budget_exits_4(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "9", "--a", "1", "--b", "4",
                            "--length", "9", "--budget", "10")
@@ -306,6 +337,17 @@ def test_verify_lmax_below_1_exits_2(capsys, lmax):
     assert code == 2
     assert out == ""
     assert f"l_max must be >= 1, got {lmax}" in err
+
+
+def test_verify_budget_exits_4_with_the_enumeration_message(capsys):
+    # C_3(1,2) is swept first; at length 12 it is charged 2**12 * 3 * 12 = 147456
+    with pytest.raises(BudgetExceeded) as excinfo:
+        enumerate_orbits(CirculantGraph(3, 1, 2), 12, budget=100000)
+    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--lmax", "12",
+                             "--budget", "100000")
+    assert (code, out) == (4, "")
+    assert err == f"error: {excinfo.value}\n"
+    assert "enumerating length 12 on C_3(1,2) costs at least 147456 > budget 100000" in err
 
 
 def test_verify_failure_report_is_unchanged(capsys, monkeypatch):

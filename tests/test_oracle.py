@@ -12,6 +12,7 @@ from circorbits import (
     bcounts_for_length,
     count_lyndon,
     count_orbits_lk,
+    decompose,
     enumerate_orbits,
     list_lyndon,
     connected_graphs,
@@ -237,3 +238,42 @@ def test_enumerate_matches_string_reference_for_one_bcount(case):
     G, l, k = case
     assert _as_tuples(enumerate_orbits(G, l, k)) == enumerate_orbits_reference(
         G.n, G.a, G.b, l, k)
+
+
+def test_enumerate_matches_string_reference_on_disconnected_graphs():
+    # every b-count, every C_n(a, b) with gcd(n, a, b) > 1 and n <= 12
+    graphs = [CirculantGraph(n, a, b) for n in range(3, 13) for a in range(1, n - 1)
+              for b in range(a + 1, n) if math.gcd(n, a, b) > 1]
+    assert len(graphs) == 24
+    for G in graphs:
+        for l in range(1, 11):
+            assert _as_tuples(enumerate_orbits(G, l)) == enumerate_orbits_reference(
+                G.n, G.a, G.b, l), (G, l)
+
+
+def test_repetition_law_mismatches_follow_enumeration_order(monkeypatch):
+    # A prediction that is wrong for every orbit: the report must list one
+    # repetition-law entry per orbit, in the order enumerate_orbits gives.
+    predicted = oracle.predicted_repetition
+    monkeypatch.setattr(oracle, "predicted_repetition",
+                        lambda G, w: predicted(G, w) + decompose(w).repetition)
+    report = verify_range(6, 8)
+    expected = [
+        {"n": G.n, "a": G.a, "b": G.b, "l": l, "kind": "repetition-law",
+         "expected": str(predicted(G, o.steps) + decompose(o.steps).repetition),
+         "actual": str(o.repetition), "k": o.k}
+        for G in connected_graphs(6) for l in range(1, 9) for o in enumerate_orbits(G, l)
+    ]
+    got = [m for m in report["mismatches"] if m["kind"] == "repetition-law"]
+    assert len(got) == len(expected) > 1000
+    assert got == expected
+    assert report["mismatches"] == got  # the formula rows still all agree
+
+
+def test_verify_case_orbits_match_enumeration():
+    report = verify_range(7, 9)
+    graphs = {(G.n, G.a, G.b): G for G in connected_graphs(7)}
+    assert len(report["case_results"]) == 9 * len(graphs)
+    for case in report["case_results"]:
+        G = graphs[case["n"], case["a"], case["b"]]
+        assert case["orbits"] == len(enumerate_orbits(G, case["l"])), case

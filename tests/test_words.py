@@ -11,6 +11,7 @@ from circorbits import (
     list_lyndon,
     to_step_string,
 )
+from circorbits.words import check_word
 
 from brute import (
     count_nonprimitive_direct,
@@ -219,3 +220,15 @@ def _word_with_other_letter(draw):
 def test_step_string_refuses_other_letters(w, steps):
     with pytest.raises(ValueError, match="only contain letters"):
         to_step_string(w, *steps)
+
+
+@pytest.mark.parametrize("w, message", [
+    ("", "word must be nonempty"),
+    ("abc", "word may only contain letters 'a' and 'b', got ['c']"),
+    ("zbaAab", "word may only contain letters 'a' and 'b', got ['A', 'z']"),
+    ("a b", "word may only contain letters 'a' and 'b', got [' ']"),
+])
+def test_check_word_messages(w, message):
+    with pytest.raises(ValueError) as excinfo:
+        check_word(w)
+    assert str(excinfo.value) == message
