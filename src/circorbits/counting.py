@@ -15,7 +15,6 @@ checked, never assumed (InvariantViolated, also under python -O).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolated, NotLatticePoint
@@ -33,8 +32,7 @@ class CountTerm(NamedTuple):
     q: int | None = None
 
 
-@dataclass(frozen=True)
-class OrbitCountReport:
+class OrbitCountReport(NamedTuple):
     """A primitive-orbit count with its term-by-term breakdown."""
 
     l: int

@@ -9,26 +9,26 @@ as (n, a, b); adjacency is computed on demand. Vertices are residues
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DisconnectedGraph, DoesNotClose, RejectedParameters
 from .words import check_word
 
 
-@dataclass(frozen=True)
-class CirculantGraph:
+class CirculantGraph(NamedTuple("CirculantGraph", [("n", int), ("a", int), ("b", int)])):
     """The circulant digraph C_n(a, b) with 0 < a < b < n."""
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 < self.a < self.b < self.n):
-            raise RejectedParameters(
-                f"need 0 < a < b < n, got n={self.n}, a={self.a}, b={self.b}"
-            )
+    def __new__(cls, n: int, a: int, b: int) -> CirculantGraph:
+        if not (0 < a < b < n):
+            raise RejectedParameters(f"need 0 < a < b < n, got n={n}, a={a}, b={b}")
+        return super().__new__(cls, n, a, b)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> CirculantGraph:
+        """Build through __new__, so _replace checks the steps too."""
+        return cls(*iterable)
 
     @property
     def d(self) -> int:

@@ -10,14 +10,13 @@ coordinates, and the admissible orbit classes with 0 <= k <= l, l >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolated, NotLatticePoint, RejectedParameters
 from .graph import CirculantGraph
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """An admissible (length, b-count, winding number) triple."""
 
     l: int
@@ -25,8 +24,7 @@ class OrbitClass:
     omega: int
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     """Basis (d', -a'), (l0, k0) of the solution lattice, with its inverse matrix.
 
     a' = a/g and d' = d/g, and l0*a + k0*d = g*n. The inverse of the column

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -362,7 +361,7 @@ def test_verify_failure_report_is_unchanged(capsys, monkeypatch):
         return patched
 
     def bump_report(report):
-        return dataclasses.replace(report, count=report.count + 1)
+        return report._replace(count=report.count + 1)
 
     monkeypatch.setattr(oracle, "count_orbits_lk", off_by_one(
         oracle.count_orbits_lk, {(4, 1, 3, 4), (5, 1, 2, 5)}, bump_report))
