@@ -31,7 +31,7 @@ from .errors import BudgetExceeded, DisconnectedGraph, InvariantViolated
 from .graph import CirculantGraph, dot_graph
 from .lattice import basis, bcounts_for_length, lattice_points, skipped_windings
 from .oracle import enumerate_orbits, verify_range
-from .words import count_lyndon, list_lyndon, to_step_string
+from .words import count_lyndon, list_lyndon, step_table
 
 
 def _report_json(G: CirculantGraph, method: str, report: OrbitCountReport) -> dict:
@@ -121,27 +121,35 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
     if args.action == "count":
         print(count_lyndon(args.length, args.bcount))
         return 0
-    G = None
+    table = None
     if args.steps is not None:
         steps = _parse_steps(args.steps)
         if len(steps) != 3:
             raise ValueError(f"--steps wants n,a,b (three integers), got {args.steps!r}")
         G = CirculantGraph(*steps)
+        table = step_table(G.a, G.b)
+    write = sys.stdout.write
     for w in list_lyndon(args.length, args.bcount):
-        print(w if G is None else to_step_string(w, G.a, G.b))
+        write((w if table is None else w.translate(table).removesuffix(",")) + "\n")
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     G = CirculantGraph(args.n, args.a, args.b)
-    orbits = enumerate_orbits(G, args.length, k=args.bcount, budget=args.budget)
-    primitive = [o for o in orbits if o.is_primitive()]
+    l = args.length
+    orbits = enumerate_orbits(G, l, k=args.bcount, budget=args.budget)
+    table, write, primitive = step_table(G.a, G.b), sys.stdout.write, 0
     # json.dumps layout; ints and strings of digits and commas need no escaping.
-    for o in primitive if args.primitive_only else orbits:
-        print(f'{{"start": {o.start}, "steps": "{to_step_string(o.steps, G.a, G.b)}", '
-              f'"l": {o.l}, "k": {o.k}, "omega": {o.omega}, "repetition": {o.repetition}}}')
-    print(json.dumps({"orbits": len(orbits), "primitive": len(primitive),
-                      "nonprimitive": len(orbits) - len(primitive)}))
+    for start, steps, omega, repetition in orbits:
+        if repetition == 1:
+            primitive += 1
+        elif args.primitive_only:
+            continue
+        write(f'{{"start": {start}, "steps": "{steps.translate(table).removesuffix(",")}", '
+              f'"l": {l}, "k": {steps.count("b")}, "omega": {omega}, '
+              f'"repetition": {repetition}}}\n')
+    print(json.dumps({"orbits": len(orbits), "primitive": primitive,
+                      "nonprimitive": len(orbits) - primitive}))
     return 0
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .counting import (
@@ -78,9 +79,12 @@ def _circuit(G: CirculantGraph, l: int, x: int) -> tuple[list[int], list[int], i
     return rots, res, sum(1 for d, r in zip(res, rots) if r == x and d == 0)
 
 
+_AB = str.maketrans("01", "ab")
+
+
 def _steps(x: int, l: int) -> str:
     """The l-letter word of the l-bit integer x."""
-    return format(x, f"0{l}b").replace("0", "a").replace("1", "b")
+    return format(x, f"0{l}b").translate(_AB)
 
 
 def phi(G: CirculantGraph, w: str, v: int) -> Orbit:
@@ -153,20 +157,29 @@ def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None,
     rotations and takes their orbits' canonical presentations from every
     start at once: the starts in the gap below a sorted prefix residue have
     their least vertex there (module docstring). Output is sorted by
-    (b-count, start, steps). Connectivity is not required.
+    (b-count, start, steps): b-counts come in increasing order with one
+    omega each, and within a b-count the canonical keys (start << l) | word
+    are sorted as plain ints, with the repetition looked up by key only
+    where it is not 1. Connectivity is not required.
 
     Time grows as about W * (l + n) for W candidate words, C(l, k) or 2**l;
     the budget still charges max(W, l) * n * l and refuses above it.
     """
     check_lk(l, 0 if k is None else k)
     _charge(G, l, k, resolve_budget(budget))
+    mask, fmt = (1 << l) - 1, f"0{l}b"
     found = []
-    for kk, omega, _, repetition, keys in _rotation_classes(G, l, k):
-        found.extend((kk, key, omega, repetition) for key in keys)
-    found.sort()
-    mask = (1 << l) - 1
-    return [Orbit(key >> l, _steps(key & mask, l), omega, repetition)
-            for _, key, omega, repetition in found]
+    for _, group in groupby(_rotation_classes(G, l, k), itemgetter(0)):
+        keys: list[int] = []
+        repeated: dict[int, int] = {}
+        for _, omega, _, repetition, class_keys in group:
+            keys.extend(class_keys)
+            if repetition != 1:
+                repeated.update(dict.fromkeys(class_keys, repetition))
+        keys.sort()
+        found.extend(Orbit(key >> l, format(key & mask, fmt).translate(_AB), omega,
+                           repeated.get(key, 1)) for key in keys)
+    return found
 
 
 def connected_graphs(n_max: int) -> Iterator[CirculantGraph]:

@@ -137,12 +137,23 @@ def list_lyndon(l: int, k: int, budget: int | None = None) -> list[str]:
     return out
 
 
+def step_table(a: int, b: int) -> dict[int, str]:
+    """The str.translate table that writes a word in the step notation of steps (a, b).
+
+    This is the one definition of step notation: the steps are concatenated
+    when b <= 9, since every step is then one digit, and otherwise each is
+    followed by a comma, which the caller strips from the end with
+    .removesuffix(",").
+    """
+    sep = "" if b <= 9 else ","
+    return str.maketrans({"a": f"{a}{sep}", "b": f"{b}{sep}"})
+
+
 def to_step_string(w: str, a: int, b: int) -> str:
     """Render a word using the graph's step sizes, e.g. 'aab' -> '114' on steps (1, 4).
 
-    The steps are concatenated when b <= 9 and otherwise separated by
-    commas, since concatenated multi-digit steps would be ambiguous.
+    Notation as in step_table: concatenated when b <= 9, comma-separated
+    otherwise.
     """
     check_word(w)
-    sep = "" if b <= 9 else ","
-    return w.replace("a", f"{a}{sep}").replace("b", f"{b}{sep}").removesuffix(",")
+    return w.translate(step_table(a, b)).removesuffix(",")

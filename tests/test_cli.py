@@ -14,6 +14,7 @@ from circorbits import (
     counting,
     divisors,
     enumerate_orbits,
+    list_lyndon,
     moebius,
     oracle,
     to_step_string,
@@ -272,6 +273,48 @@ def test_enumerate_lines_are_json(capsys, steps, primitive_only, with_bcount):
     assert any("," in json.loads(line)["steps"] for line in lines[:-1]) == (G.b >= 10)
 
 
+# Notation edges: a two-digit a, and b on both sides of the 9/10 switch
+# from concatenated to comma-separated steps.
+@pytest.mark.parametrize("with_bcount", [False, True], ids=["every-bcount", "bcount"])
+@pytest.mark.parametrize("primitive_only", [False, True], ids=["all", "primitive-only"])
+@pytest.mark.parametrize("steps, l, k", [
+    ((23, 10, 13), 8, 4),  # 230 orbits, 46 of them nonprimitive
+    ((20, 3, 9), 14, 3),  # b-counts 3 and 13 both close
+    ((20, 3, 10), 13, 3),
+    ((20, 3, 10), 12, 12),  # only b^12, every orbit nonprimitive
+], ids=["two-digit-a", "b-9", "b-10", "b-10-repeated"])
+def test_enumerate_renders_through_to_step_string(capsys, steps, l, k, primitive_only,
+                                                   with_bcount):
+    G = CirculantGraph(*steps)
+    argv = ["enumerate", "--n", str(G.n), "--a", str(G.a), "--b", str(G.b),
+            "--length", str(l)]
+    argv += ["--bcount", str(k)] * with_bcount + ["--primitive-only"] * primitive_only
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    orbits = enumerate_orbits(G, l, k if with_bcount else None)
+    primitive = sum(o.is_primitive() for o in orbits)
+    expected = [json.dumps({"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
+                            "l": o.l, "k": o.k, "omega": o.omega,
+                            "repetition": o.repetition})
+                for o in orbits if o.is_primitive() or not primitive_only]
+    expected.append(json.dumps({"orbits": len(orbits), "primitive": primitive,
+                                "nonprimitive": len(orbits) - primitive}))
+    assert out.splitlines() == expected
+    assert len(orbits) >= 10
+
+
+@pytest.mark.parametrize("steps, l, k", [
+    ((23, 10, 13), 10, 3), ((20, 3, 9), 10, 4), ((20, 3, 10), 10, 4),
+], ids=["two-digit-a", "b-9", "b-10"])
+def test_lyndon_list_steps_renders_through_to_step_string(capsys, steps, l, k):
+    code, out, _ = run_cli(capsys, "lyndon", "list", "--length", str(l), "--bcount", str(k),
+                           "--steps", ",".join(map(str, steps)))
+    assert code == 0
+    words = list_lyndon(l, k)
+    assert len(words) > 10
+    assert out.splitlines() == [to_step_string(w, *steps[1:]) for w in words]
+
+
 def test_enumerate_budget_exits_4(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "9", "--a", "1", "--b", "4",
                            "--length", "9", "--budget", "10")
@@ -454,6 +497,20 @@ def test_closed_stdout_exits_141_without_traceback():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.readline() == b"aaaaaaaaaabbbbbbbbbb\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_enumerate_closed_stdout_exits_141_without_traceback():
+    # 3.66 MB of orbit lines: the reader goes away while they still stream.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circorbits", "enumerate", "--n", "16", "--a", "3",
+         "--b", "11", "--length", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["l"] == 16
     proc.stdout.close()
     assert proc.wait(timeout=120) == 141
     assert proc.stderr.read() == b""

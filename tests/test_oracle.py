@@ -251,6 +251,17 @@ def test_enumerate_matches_string_reference_on_disconnected_graphs():
                 G.n, G.a, G.b, l), (G, l)
 
 
+def test_enumerate_every_bcount_is_the_concatenation_of_single_bcounts():
+    # every C_n(a, b) with n <= 10, disconnected ones included, lengths up to 10
+    graphs = [CirculantGraph(n, a, b) for n in range(3, 11) for a in range(1, n - 1)
+              for b in range(a + 1, n)]
+    assert len(graphs) == 120
+    for G in graphs:
+        for l in range(1, 11):
+            assert enumerate_orbits(G, l) == [
+                o for k in range(l + 1) for o in enumerate_orbits(G, l, k)], (G, l)
+
+
 def test_repetition_law_mismatches_follow_enumeration_order(monkeypatch):
     # A prediction that is wrong for every orbit: the report must list one
     # repetition-law entry per orbit, in the order enumerate_orbits gives.
