@@ -213,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep formulas against enumeration; exit 1 on mismatch")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="work budget per (graph, length), charged as enumerate without "
+                        "--bcount (default CIRCORBITS_BUDGET or 2^28)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("graph", help="emit a circulant digraph as Graphviz DOT")

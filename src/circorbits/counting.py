@@ -15,7 +15,8 @@ checked, never assumed (InvariantViolated, also under python -O).
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .errors import InvariantViolated, NotLatticePoint
 from .graph import CirculantGraph
@@ -23,23 +24,15 @@ from .lattice import bcounts_for_length
 from .numtheory import binomial, divisors, moebius_divisors
 from .words import check_lk, decompose
 
-class CountTerm(NamedTuple):
-    """One signed binomial contribution; q is the repetition block (unreduced only)."""
 
-    m: int
-    mu: int
-    binomial: int
-    q: int | None = None
+CountTerm = namedtuple("CountTerm", "m mu binomial q", defaults=(None,))
+CountTerm.__doc__ = "One signed binomial contribution; q is the repetition block (unreduced only)."
 
-
-class OrbitCountReport(NamedTuple):
-    """A primitive-orbit count with its term-by-term breakdown."""
-
-    l: int
-    k: int
-    omega: int | None
-    count: int
-    terms: tuple[CountTerm, ...]
+# The count field shadows tuple.count.
+OrbitCountReport = namedtuple("OrbitCountReport", "l k omega count terms")
+OrbitCountReport.__doc__ = (
+    "A primitive-orbit count with its term-by-term breakdown; omega is None off the lattice."
+)
 
 
 def _winding(G: CirculantGraph, l: int, k: int) -> int | None:

@@ -9,13 +9,14 @@ as (n, a, b); adjacency is computed on demand. Vertices are residues
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import DisconnectedGraph, DoesNotClose, RejectedParameters
 from .words import check_word
 
 
-class CirculantGraph(NamedTuple("CirculantGraph", [("n", int), ("a", int), ("b", int)])):
+class CirculantGraph(namedtuple("CirculantGraph", "n a b")):
     """The circulant digraph C_n(a, b) with 0 < a < b < n."""
 
     __slots__ = ()

@@ -10,21 +10,17 @@ coordinates, and the admissible orbit classes with 0 <= k <= l, l >= 1.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvariantViolated, NotLatticePoint, RejectedParameters
 from .graph import CirculantGraph
 
 
-class OrbitClass(NamedTuple):
-    """An admissible (length, b-count, winding number) triple."""
-
-    l: int
-    k: int
-    omega: int
+OrbitClass = namedtuple("OrbitClass", "l k omega")
+OrbitClass.__doc__ = "An admissible (length, b-count, winding number) triple."
 
 
-class LatticeBasis(NamedTuple):
+class LatticeBasis(namedtuple("LatticeBasis", "n a_prime d_prime l0 k0")):
     """Basis (d', -a'), (l0, k0) of the solution lattice, with its inverse matrix.
 
     a' = a/g and d' = d/g, and l0*a + k0*d = g*n. The inverse of the column
@@ -33,11 +29,7 @@ class LatticeBasis(NamedTuple):
     stay exact.
     """
 
-    n: int
-    a_prime: int
-    d_prime: int
-    l0: int
-    k0: int
+    __slots__ = ()
 
     def to_coords(self, l: int, k: int) -> tuple[int, int]:
         """Map a lattice point (l, k) to its integer coordinates (x, y); y = omega/g."""

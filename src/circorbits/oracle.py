@@ -23,10 +23,10 @@ agreement and the repetition-number law against enumeration.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Iterator, NamedTuple
 
 from .counting import (
     count_orbits_l,
@@ -39,13 +39,10 @@ from .graph import CirculantGraph
 from .words import check_lk, resolve_budget
 
 
-class Orbit(NamedTuple):
+class Orbit(namedtuple("Orbit", "start steps omega repetition")):
     """A periodic orbit in canonical form; repetition 1 means primitive."""
 
-    start: int
-    steps: str
-    omega: int
-    repetition: int
+    __slots__ = ()
 
     @property
     def l(self) -> int:

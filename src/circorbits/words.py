@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import BudgetExceeded, InvariantViolated
 from .numtheory import binomial, moebius_divisors
@@ -36,9 +36,8 @@ def resolve_budget(budget: int | None) -> int:
     return budget
 
 
-class WordDecomposition(NamedTuple):
-    root: str
-    repetition: int
+WordDecomposition = namedtuple("WordDecomposition", "root repetition")
+WordDecomposition.__doc__ = "A word split as root * repetition, with root primitive."
 
 
 def check_word(w: str) -> None:
