@@ -358,6 +358,36 @@ def test_nonpositive_budget_exits_2(capsys, monkeypatch, argv, env, message):
     assert message in err
 
 
+# One request per refusal kind: the exit code and the whole stderr line.
+@pytest.mark.parametrize("argv, env, code, line", [
+    (("graph", "--n", "5", "--steps", "4,1"), None, 2,
+     "steps must be strictly increasing in 1..n-1, got [4, 1]"),
+    (("graph", "--n", "0", "--steps", "1"), None, 2, "need n >= 1, got n=0"),
+    (("count", "--n", "5", "--a", "1", "--b", "4", "--length", "3", "--bcount", "1",
+      "--method", "unreduced"), None, 2, "(l=3, k=1) is not a lattice point of C_5(1,4)"),
+    (("lyndon", "count", "--length", "3", "--bcount", "5"), None, 2,
+     "b-count must satisfy 0 <= k <= l, got k=5, l=3"),
+    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9"), "abc", 2,
+     "CIRCORBITS_BUDGET must be an integer, got 'abc'"),
+    (("count", "--n", "12", "--a", "2", "--b", "4", "--length", "6"), None, 3,
+     "C_12(2,4) is disconnected: gcd(12,2,4) = 2 != 1"),
+    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9", "--budget", "10"),
+     None, 4, "enumerating length 9 on C_9(1,4) costs at least 729 > budget 10 "
+              "(max(W, l)*n*l for W candidate words)"),
+    # a wrong binomial makes 21 * C / 15 non-integral
+    (("count", "--n", "21", "--a", "4", "--b", "10", "--length", "15", "--bcount", "4"),
+     None, 5, "invariant violated: count formula non-integral or negative for "
+              "C_21(4,10), l=15, k=4"),
+], ids=["RejectedParameters", "RejectedParameters-n", "NotLatticePoint", "ValueError",
+        "ValueError-environment", "DisconnectedGraph", "BudgetExceeded", "InvariantViolated"])
+def test_refusal_exit_code_and_message(capsys, monkeypatch, argv, env, code, line):
+    if env is not None:
+        monkeypatch.setenv("CIRCORBITS_BUDGET", env)
+    if code == 5:
+        monkeypatch.setattr(counting, "binomial", lambda x, y: 1)
+    assert run_cli(capsys, *argv) == (code, "", f"error: {line}\n")
+
+
 def test_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", "--nmax", "5", "--lmax", "6")
     assert code == 0
