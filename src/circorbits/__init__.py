@@ -28,7 +28,7 @@ from .lattice import (
     skipped_windings,
     winding_bounds,
 )
-from .numtheory import binomial, divisors, moebius
+from .numtheory import binomial, divisors
 from .oracle import Orbit, connected_graphs, enumerate_orbits, phi, verify_range
 from .words import (
     WordDecomposition,
@@ -71,7 +71,6 @@ __all__ = [
     "enumerate_orbits",
     "lattice_points",
     "list_lyndon",
-    "moebius",
     "phi",
     "predicted_repetition",
     "skipped_windings",

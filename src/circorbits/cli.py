@@ -5,14 +5,15 @@ basis and admissible classes), lyndon (fixed-content Lyndon word counting
 and listing), enumerate (brute-force orbit listing), verify (formula vs.
 enumeration sweep) and graph (Graphviz DOT export).
 
-Exit codes are stable: 0 success, 1 verification mismatch, 2 parameter
-error, 3 disconnected graph, 4 budget exceeded, 5 internal invariant
-violated (a bug; the check also runs under python -O), and 141 from the
-`circorbits` entry point when the reader closes stdout early.
+Exit codes are stable: 0 success, 1 verification mismatch, 141 from the
+`circorbits` entry point when the reader closes stdout early, and for a
+refusal the `exit_code` of its error type in `errors` (2 for a plain
+ValueError).
 
-Only this module formats output: the library returns plain values and
-the JSON, CSV and text shapes are built here. Counts inside JSON are
-decimal strings so consumers are not limited to 53-bit integers.
+The library returns plain values and the JSON, CSV and text shapes are
+built here, except `oracle.verify_range`'s report (a dict with decimal-string
+counts) and `graph.dot_graph`'s DOT text. Counts inside JSON are decimal
+strings so consumers are not limited to 53-bit integers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .counting import (
     count_orbits_lk,
     count_orbits_lk_unreduced,
 )
-from .errors import BudgetExceeded, DisconnectedGraph, InvariantViolated
+from .errors import CircorbitsError, InvariantViolated
 from .graph import CirculantGraph, dot_graph
 from .lattice import basis, bcounts_for_length, lattice_points, skipped_windings
 from .oracle import enumerate_orbits, verify_range
@@ -182,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bcount", type=int, default=None, help="restrict to this b-count")
     p.add_argument("--method", choices=["reduced", "unreduced"], default="reduced")
     p.add_argument("--show-skipped", action="store_true",
-                   help="also list in-range winding numbers with no integer b-count")
+                   help="also list in-range winding numbers with no integer b-count "
+                        "(ignored with --bcount)")
     p.add_argument("--format", choices=["json", "plain"], default="json")
     p.set_defaults(func=_cmd_count)
 
@@ -229,28 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Counts are printed in full, however many digits they have: lift
-    # CPython's int/str digit limit (3.10.7 and later) while the command
-    # runs, and restore the caller's value afterwards.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    # CPython's int/str digit limit while the command runs, and restore
+    # the caller's value afterwards.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DisconnectedGraph as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolated as exc:
-        print(f"error: invariant violated: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (CircorbitsError, ValueError) as exc:
+        prefix = "invariant violated: " if isinstance(exc, InvariantViolated) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

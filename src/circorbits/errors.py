@@ -1,13 +1,15 @@
 """Exception types shared across the package.
 
-Each maps to a stable CLI exit code: parameter problems (RejectedParameters,
-NotLatticePoint, plain ValueError) exit 2, DisconnectedGraph exits 3,
-BudgetExceeded exits 4 and InvariantViolated exits 5.
+Each refusal type carries its stable CLI exit code as `exit_code`: parameter
+problems exit 2 (as does a plain ValueError, which has no attribute), a
+disconnected graph 3, an exceeded budget 4 and a violated invariant 5.
 """
 
 
 class CircorbitsError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class RejectedParameters(CircorbitsError, ValueError):
@@ -16,6 +18,8 @@ class RejectedParameters(CircorbitsError, ValueError):
 
 class DisconnectedGraph(CircorbitsError):
     """Operation requires a strongly connected graph (gcd(n, a, b) = 1)."""
+
+    exit_code = 3
 
 
 class NotLatticePoint(CircorbitsError, ValueError):
@@ -29,6 +33,10 @@ class DoesNotClose(CircorbitsError, ValueError):
 class BudgetExceeded(CircorbitsError, RuntimeError):
     """Requested enumeration is larger than the configured work budget."""
 
+    exit_code = 4
+
 
 class InvariantViolated(CircorbitsError):
     """An internal consistency check failed (a bug, not a bad input); raised even under python -O."""
+
+    exit_code = 5

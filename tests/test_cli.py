@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circorbits import (
     BudgetExceeded,
@@ -15,11 +18,11 @@ from circorbits import (
     divisors,
     enumerate_orbits,
     list_lyndon,
-    moebius,
     oracle,
     to_step_string,
 )
 from circorbits.cli import main
+from circorbits.numtheory import moebius
 
 
 def run_cli(capsys, *argv):
@@ -188,22 +191,18 @@ def _moebius_comb_sum(l, k, g):
      lambda: 440 * _moebius_comb_sum(36000, 24000, 300) // 36000),
 ], ids=["lyndon", "count"])
 def test_counts_past_the_int_str_digit_limit_are_printed(capsys, argv, expected):
-    has_limit = hasattr(sys, "get_int_max_str_digits")
-    if has_limit:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4321)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
     try:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         printed = json.loads(out)["count"] if argv[0] == "count" else out.strip()
-        if has_limit:
-            assert sys.get_int_max_str_digits() == 4321
-            sys.set_int_max_str_digits(0)
+        assert sys.get_int_max_str_digits() == 4321
+        sys.set_int_max_str_digits(0)
         assert printed == str(expected())
         assert len(printed) > 4321
     finally:
-        if has_limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def test_lyndon_bad_bcount_exits_2(capsys):
@@ -516,6 +515,74 @@ def test_unknown_flags_exit_2(capsys):
         main(["count", "--n", "5"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+_INT = st.integers(-2, 12).map(str)
+_STEPS = st.lists(st.integers(-2, 12), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs)))
+
+
+def _flag(name, value=_INT):
+    return value.map(lambda v: [name, v])
+
+
+# Half the graphs are drawn as sorted distinct ints. About half of those
+# pass 0 < a < b < n, so the request reaches the command behind the check.
+_GRAPH = st.one_of(
+    st.tuples(_INT, _INT, _INT),
+    st.lists(st.integers(-2, 12), min_size=3, max_size=3, unique=True).map(
+        lambda v: [str(x) for x in sorted(v, reverse=True)]),
+).map(lambda nba: ["--n", nba[0], "--a", nba[2], "--b", nba[1]])
+# Per subcommand: the argv parts it requires, then the optional ones.
+_GRAMMAR = {
+    ("count",): ((_GRAPH, _flag("--length")), (
+        _flag("--bcount"), _flag("--method", st.sampled_from(["reduced", "unreduced"])),
+        st.just(["--show-skipped"]), _flag("--format", st.sampled_from(["json", "plain"])))),
+    ("lattice",): ((_GRAPH, _flag("--lmax")),
+                   (_flag("--format", st.sampled_from(["json", "csv"])),)),
+    ("lyndon", "count"): ((_flag("--length"), _flag("--bcount")), ()),
+    ("lyndon", "list"): ((_flag("--length"), _flag("--bcount")),
+                         (_flag("--steps", _STEPS),)),
+    ("enumerate",): ((_GRAPH, _flag("--length")), (
+        _flag("--bcount"), st.just(["--primitive-only"]), _flag("--budget"))),
+    ("verify",): ((_flag("--nmax"), _flag("--lmax")), (_flag("--budget"),)),
+    ("graph",): ((_flag("--n"), _flag("--steps", _STEPS)), ()),
+}
+
+
+@st.composite
+def _small_argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, optional = _GRAMMAR[command]
+    argv = list(command)
+    for part in required:
+        argv += draw(part)
+    for part in optional:
+        if draw(st.booleans()):
+            argv += draw(part)
+    return argv
+
+
+# No deadline: under this budget verify --nmax 12 --lmax 12 runs in full, in
+# about 0.7 s.
+@settings(max_examples=500, deadline=None)
+@given(_small_argv())
+def test_every_small_request_is_answered_or_refused(argv):
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        mp.setenv("CIRCORBITS_BUDGET", str(10**6))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            code = None
+            assert exc.code == 2
+    if code == 0:
+        assert err.getvalue() == ""
+    elif code is not None:
+        assert code in (2, 3, 4)
+        assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_closed_stdout_exits_141_without_traceback():

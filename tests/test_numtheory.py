@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from circorbits import binomial, divisors, moebius, numtheory
-from circorbits.numtheory import moebius_divisors
+from circorbits import binomial, divisors, numtheory
+from circorbits.numtheory import moebius, moebius_divisors
 
 from brute import naive_divisors, naive_mu, pascal_table, scaled_binomial
 
