@@ -35,6 +35,11 @@ GOLDEN = [
     ("count-unreduced-plain",
      "count --n 13 --a 2 --b 7 --length 12 --method unreduced --format plain", 0,
      "f6d83bc6418d4ea95d408095707cf714fbb9019996eb92113cfca7cb76e27bfd"),
+    ("count-unreduced-json", "count --n 13 --a 2 --b 7 --length 12 --method unreduced", 0,
+     "e8e73c982bdfa31d52d8064c3c488210313ef5b08eaf89746a76c16b2bca0584"),
+    ("count-unreduced-json-skipped",
+     "count --n 13 --a 2 --b 7 --length 12 --method unreduced --show-skipped", 0,
+     "cbfe90613c7a8e2f57cc5ab228898bd76d91e3c221977b26302ca551771cbd95"),
     ("count-non-lattice-bcount", "count --n 5 --a 1 --b 4 --length 3 --bcount 1", 0,
      "f72d14a7eee1b98facc8a2de28497385a477f26d5d592afc140c364b1b41ef71"),
     ("count-non-lattice-unreduced",
