@@ -13,7 +13,6 @@ from .errors import (
     BudgetExceeded,
     CircorbitsError,
     DisconnectedGraph,
-    DoesNotClose,
     InvariantViolated,
     NotLatticePoint,
     RejectedParameters,
@@ -47,7 +46,6 @@ __all__ = [
     "CircorbitsError",
     "CountTerm",
     "DisconnectedGraph",
-    "DoesNotClose",
     "InvariantViolated",
     "LatticeBasis",
     "NotLatticePoint",

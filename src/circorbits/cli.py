@@ -25,12 +25,13 @@ import sys
 
 from .counting import (
     OrbitCountReport,
+    count_orbits_l,
     count_orbits_lk,
     count_orbits_lk_unreduced,
 )
 from .errors import CircorbitsError, InvariantViolated
 from .graph import CirculantGraph, dot_graph
-from .lattice import basis, bcounts_for_length, lattice_points, skipped_windings
+from .lattice import basis, lattice_points, skipped_windings
 from .oracle import enumerate_orbits, verify_range
 from .words import count_lyndon, list_lyndon, step_table
 
@@ -65,9 +66,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                   f"method {args.method}")
             _print_report_plain(report)
         return 0
-    classes = bcounts_for_length(G, l)
-    reports = [counter(G, c.l, c.k) for c in classes]
-    total = sum(r.count for r in reports)
+    total, reports = count_orbits_l(G, l, counter)
     if args.format == "json":
         obj: dict = {
             "n": G.n, "a": G.a, "b": G.b, "l": l,
@@ -199,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--bcount", type=int, required=True)
     p.add_argument("--steps", default=None,
-                   help="n,a,b graph context: list words in step notation")
+                   help="n,a,b graph context: list words in step notation "
+                        "(a leading '-' needs --steps=-9,1,4)")
     p.set_defaults(func=_cmd_lyndon)
 
     p = sub.add_parser("enumerate", help="brute-force orbit enumeration (JSON lines)")
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="emit a circulant digraph as Graphviz DOT")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--steps", required=True, help="comma-separated step sizes, e.g. 1,4")
+    p.add_argument("--steps", required=True,
+                   help="comma-separated step sizes, e.g. 1,4 (a leading '-' needs --steps=-1,2)")
     p.set_defaults(func=_cmd_graph)
 
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 from .errors import InvariantViolated, NotLatticePoint
 from .graph import CirculantGraph
@@ -72,9 +72,10 @@ def count_orbits_lk(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
     return _finish(G, l, k, omega, terms)
 
 
-def count_orbits_l(G: CirculantGraph, l: int) -> tuple[int, list[OrbitCountReport]]:
-    """Total primitive orbits of length l, with one report per admissible b-count."""
-    reports = [count_orbits_lk(G, c.l, c.k) for c in bcounts_for_length(G, l)]
+def count_orbits_l(G: CirculantGraph, l: int,
+                   counter: Callable = count_orbits_lk) -> tuple[int, list[OrbitCountReport]]:
+    """Total primitive orbits of length l, and counter's report for each admissible b-count."""
+    reports = [counter(G, c.l, c.k) for c in bcounts_for_length(G, l)]
     return sum(r.count for r in reports), reports
 
 
@@ -117,7 +118,7 @@ def predicted_repetition(G: CirculantGraph, w: str) -> int:
     """Repetition number the orbit of a closing word must have: gcd(r, omega).
 
     r is the repetition count of the word itself; the orbit is primitive
-    exactly when r is coprime to the winding number. Raises DoesNotClose
+    exactly when r is coprime to the winding number. Raises NotLatticePoint
     for a word that does not close.
     """
     return math.gcd(decompose(w).repetition, G.winding_number(w))

@@ -23,11 +23,7 @@ class DisconnectedGraph(CircorbitsError):
 
 
 class NotLatticePoint(CircorbitsError, ValueError):
-    """(l, k) does not satisfy l*a + k*(b-a) = omega*n for any integer omega."""
-
-
-class DoesNotClose(CircorbitsError, ValueError):
-    """A step word does not return to its start vertex (n does not divide the transit distance)."""
+    """No integer omega has l*a + k*(b-a) = omega*n; no word of length l and b-count k closes."""
 
 
 class BudgetExceeded(CircorbitsError, RuntimeError):

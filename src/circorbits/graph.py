@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .errors import DisconnectedGraph, DoesNotClose, RejectedParameters
+from .errors import DisconnectedGraph, NotLatticePoint, RejectedParameters
 from .words import check_word
 
 
@@ -51,17 +51,12 @@ class CirculantGraph(namedtuple("CirculantGraph", "n a b")):
                 f"gcd({self.n},{self.a},{self.b}) = {math.gcd(self.n, self.a, self.b)} != 1"
             )
 
-    def transit_distance(self, w: str) -> int:
-        """Sum of step sizes along the word: (l-k)*a + k*b = l*a + k*d."""
-        check_word(w)
-        k = w.count("b")
-        return (len(w) - k) * self.a + k * self.b
-
     def winding_number(self, w: str) -> int:
-        """Transit distance over n; raises DoesNotClose unless the word closes (from any start)."""
-        delta = self.transit_distance(w)
+        """Transit distance l*a + k*d over n; raises NotLatticePoint unless the word closes."""
+        check_word(w)
+        delta = len(w) * self.a + w.count("b") * self.d
         if delta % self.n:
-            raise DoesNotClose(
+            raise NotLatticePoint(
                 f"word {w!r} has transit distance {delta}, not a multiple of n={self.n}"
             )
         return delta // self.n

@@ -14,6 +14,7 @@ from collections import namedtuple
 
 from .errors import InvariantViolated, NotLatticePoint, RejectedParameters
 from .graph import CirculantGraph
+from .words import check_lk
 
 
 OrbitClass = namedtuple("OrbitClass", "l k omega")
@@ -63,8 +64,7 @@ def basis(G: CirculantGraph) -> LatticeBasis:
 
 def winding_bounds(G: CirculantGraph, l: int) -> tuple[int, int]:
     """Inclusive winding-number range [ceil(l*a/n), floor(l*b/n)] for length l."""
-    if l < 1:
-        raise RejectedParameters(f"length must be >= 1, got {l}")
+    check_lk(l, 0)
     lo = -(-l * G.a // G.n)
     hi = l * G.b // G.n
     return lo, hi

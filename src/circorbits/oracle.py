@@ -44,14 +44,6 @@ class Orbit(namedtuple("Orbit", "start steps omega repetition")):
 
     __slots__ = ()
 
-    @property
-    def l(self) -> int:
-        return len(self.steps)
-
-    @property
-    def k(self) -> int:
-        return self.steps.count("b")
-
     def is_primitive(self) -> bool:
         return self.repetition == 1
 

@@ -12,7 +12,7 @@ import math
 import os
 from collections import namedtuple
 
-from .errors import BudgetExceeded, InvariantViolated
+from .errors import BudgetExceeded, InvariantViolated, RejectedParameters
 from .numtheory import binomial, moebius_divisors
 
 DEFAULT_BUDGET = 2**28
@@ -60,9 +60,9 @@ def decompose(w: str) -> WordDecomposition:
 def check_lk(l: int, k: int) -> None:
     """Validate a length l >= 1 and a b-count 0 <= k <= l."""
     if l < 1:
-        raise ValueError(f"length must be >= 1, got {l}")
+        raise RejectedParameters(f"length must be >= 1, got {l}")
     if not 0 <= k <= l:
-        raise ValueError(f"b-count must satisfy 0 <= k <= l, got k={k}, l={l}")
+        raise RejectedParameters(f"b-count must satisfy 0 <= k <= l, got k={k}, l={l}")
 
 
 def count_lyndon(l: int, k: int) -> int:

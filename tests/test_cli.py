@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from circorbits import (
     BudgetExceeded,
     CirculantGraph,
+    bcounts_for_length,
     cli,
     counting,
     divisors,
@@ -87,6 +88,37 @@ def test_count_total_equals_class_sum(capsys):
                                "--length", "12", "--bcount", str(c["k"]))
         assert code == 0
         assert json.loads(out) == c
+
+
+@pytest.mark.parametrize("method", ["reduced", "unreduced"])
+def test_full_length_count_calls_the_cli_counter_per_class(capsys, monkeypatch, method):
+    # Patching cli.count_orbits_lk reaches every class of a full-length
+    # reduced count, in bcounts_for_length order; the unreduced method
+    # never calls it.
+    G = CirculantGraph(13, 2, 7)
+    calls = []
+
+    def recorder(G, l, k):
+        calls.append((G, l, k))
+        return counting.count_orbits_lk(G, l, k)
+
+    monkeypatch.setattr(cli, "count_orbits_lk", recorder)
+    code, _, _ = run_cli(capsys, "count", "--n", "13", "--a", "2", "--b", "7",
+                         "--length", "26", "--method", method)
+    assert code == 0
+    classes = [(G, c.l, c.k) for c in bcounts_for_length(G, 26)]
+    assert len(classes) == 3
+    assert calls == (classes if method == "reduced" else [])
+
+
+def test_full_length_count_maps_a_counter_value_error_to_exit_2(capsys, monkeypatch):
+    def refuse(G, l, k):
+        raise ValueError("counter refused")
+
+    monkeypatch.setattr(cli, "count_orbits_lk", refuse)
+    code, out, err = run_cli(capsys, "count", "--n", "13", "--a", "2", "--b", "7",
+                             "--length", "12")
+    assert (code, out, err) == (2, "", "error: counter refused\n")
 
 
 def test_count_non_lattice_point_reports_zero(capsys):
@@ -266,7 +298,8 @@ def test_enumerate_lines_are_json(capsys, steps, primitive_only, with_bcount):
     orbits = enumerate_orbits(G, 9, 3 if with_bcount else None)
     shown = [o for o in orbits if o.is_primitive() or not primitive_only]
     assert [json.loads(line) for line in lines[:-1]] == [
-        {"start": o.start, "steps": to_step_string(o.steps, G.a, G.b), "l": o.l, "k": o.k,
+        {"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
+         "l": len(o.steps), "k": o.steps.count("b"),
          "omega": o.omega, "repetition": o.repetition} for o in shown]
     assert len(shown) > 10
     assert any("," in json.loads(line)["steps"] for line in lines[:-1]) == (G.b >= 10)
@@ -293,7 +326,7 @@ def test_enumerate_renders_through_to_step_string(capsys, steps, l, k, primitive
     orbits = enumerate_orbits(G, l, k if with_bcount else None)
     primitive = sum(o.is_primitive() for o in orbits)
     expected = [json.dumps({"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
-                            "l": o.l, "k": o.k, "omega": o.omega,
+                            "l": len(o.steps), "k": o.steps.count("b"), "omega": o.omega,
                             "repetition": o.repetition})
                 for o in orbits if o.is_primitive() or not primitive_only]
     expected.append(json.dumps({"orbits": len(orbits), "primitive": primitive,
@@ -489,8 +522,14 @@ def test_graph_bad_steps_exit_2(capsys):
      "--steps wants comma-separated integers, got '1,,4'"),
     (("graph", "--n", "5", "--steps", ""),
      "--steps wants comma-separated integers, got ''"),
+    # A value starting with '-' reaches the package only joined by '='.
+    (("lyndon", "list", "--length", "9", "--bcount", "3", "--steps=-9,1,4"),
+     "need 0 < a < b < n, got n=-9, a=1, b=4"),
+    (("graph", "--n", "5", "--steps=-1,2"),
+     "steps must be strictly increasing in 1..n-1, got [-1, 2]"),
 ], ids=["lyndon-letter", "lyndon-empty-part", "lyndon-two-parts",
-        "graph-letter", "graph-empty-part", "graph-empty"])
+        "graph-letter", "graph-empty-part", "graph-empty", "lyndon-leading-minus",
+        "graph-leading-minus"])
 def test_steps_errors_name_the_flag(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -8,7 +8,6 @@ from circorbits import (
     CirculantGraph,
     CountTerm,
     DisconnectedGraph,
-    DoesNotClose,
     InvariantViolated,
     NotLatticePoint,
     bcounts_for_length,
@@ -108,6 +107,17 @@ def test_reduced_equals_unreduced_sweep():
                     assert G.n * sum(t.mu * t.binomial for t in rep.terms) == rep.count * c.l
 
 
+def test_count_orbits_l_with_the_unreduced_counter():
+    for G in connected_graphs(12):
+        for l in range(1, 13):
+            total, reports = count_orbits_l(G, l)
+            u_total, u_reports = count_orbits_l(G, l, count_orbits_lk_unreduced)
+            assert u_total == total, (G, l)
+            assert ([(r.l, r.k, r.omega, r.count) for r in u_reports]
+                    == [(r.l, r.k, r.omega, r.count) for r in reports]), (G, l)
+            assert all(t.q is not None for r in u_reports for t in r.terms), (G, l)
+
+
 def test_count_equals_lyndon_bijection_sum():
     for G in connected_graphs(12):
         for l in range(1, 25):
@@ -165,7 +175,7 @@ def test_predicted_repetition_examples():
     assert predicted_repetition(G5, "a" * 10) == 2
     assert predicted_repetition(G5, "ab") == 1  # primitive closing word
 
-    with pytest.raises(DoesNotClose):
+    with pytest.raises(NotLatticePoint):
         predicted_repetition(G5, "aba")
 
 

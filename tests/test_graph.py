@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from circorbits import (
     CirculantGraph,
-    DoesNotClose,
+    NotLatticePoint,
     RejectedParameters,
     dot_graph,
 )
@@ -47,21 +47,23 @@ def test_connectivity_examples():
     assert not CirculantGraph(9, 3, 6).is_strongly_connected()
 
 
-def test_transit_distance_examples():
-    G = CirculantGraph(9, 1, 4)
-    assert G.transit_distance("aabaabaab") == 18
-    G21 = CirculantGraph(21, 4, 10)
-    assert G21.transit_distance("a" * 11 + "b" * 4) == 84 == 4 * 21
-    assert G.transit_distance("a") == 1
-    assert G.transit_distance("b") == 4
-
-
 def test_winding_number_examples():
     G = CirculantGraph(9, 1, 4)
-    assert G.winding_number("aabaabaab") == 2
+    assert G.winding_number("aabaabaab") == 18 // 9
+    G21 = CirculantGraph(21, 4, 10)
+    assert G21.winding_number("a" * 11 + "b" * 4) == 84 // 21
     G5 = CirculantGraph(5, 1, 4)
     assert G5.winding_number("ab") == 1
-    with pytest.raises(DoesNotClose):
+    G3 = CirculantGraph(3, 1, 2)
+    assert [G3.winding_number(w) for w in ("aaa", "ab", "bbb")] == [1, 1, 2]
+    with pytest.raises(NotLatticePoint, match=r"^word 'a' has transit distance 1, "
+                                              r"not a multiple of n=9$"):
+        G.winding_number("a")
+    with pytest.raises(NotLatticePoint, match="transit distance 4,"):
+        G.winding_number("b")
+    with pytest.raises(NotLatticePoint, match="transit distance 74,"):
+        G21.winding_number("a" * 11 + "b" * 3)
+    with pytest.raises(NotLatticePoint):
         G5.winding_number("a")
 
 
@@ -73,19 +75,28 @@ def test_path_from_examples():
     assert G5.path_from(2, "") == [2]
 
 
+def _winding_or_none(G, w):
+    try:
+        return G.winding_number(w)
+    except NotLatticePoint:
+        return None
+
+
 @given(words_st, st.integers(0, 40), st.data())
-def test_path_end_matches_transit_distance(w, v, data):
+def test_path_end_matches_lattice_sum(w, v, data):
     G = data.draw(st.sampled_from(small_graphs()))
     path = G.path_from(v, w)
     assert len(path) == len(w) + 1
-    assert path[-1] == (v + G.transit_distance(w)) % G.n
+    delta = len(w) * G.a + w.count("b") * G.d
+    assert path[-1] == (v + delta) % G.n
+    assert _winding_or_none(G, w) == (None if delta % G.n else delta // G.n)
 
 
 @given(words_st, st.integers(-10, 40))
-def test_transit_distance_is_rotation_invariant(w, s):
+def test_closing_and_winding_are_rotation_invariant(w, s):
     s %= len(w)
     for G in (CirculantGraph(7, 1, 3), CirculantGraph(21, 4, 10)):
-        assert G.transit_distance(w[s:] + w[:s]) == G.transit_distance(w)
+        assert _winding_or_none(G, w[s:] + w[:s]) == _winding_or_none(G, w)
 
 
 def test_closure_is_start_independent():

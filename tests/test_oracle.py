@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from circorbits import (
     BudgetExceeded,
     CirculantGraph,
-    DoesNotClose,
+    NotLatticePoint,
     RejectedParameters,
     bcounts_for_length,
     count_lyndon,
@@ -27,7 +27,7 @@ from brute import enumerate_orbits_reference, is_lyndon, string_rotations
 def test_phi_examples():
     G9 = CirculantGraph(9, 1, 4)
     o = phi(G9, "aab" * 3, 0)
-    assert (o.l, o.k, o.omega, o.repetition) == (9, 3, 2, 1)
+    assert (len(o.steps), o.steps.count("b"), o.omega, o.repetition) == (9, 3, 2, 1)
     assert o.is_primitive()
 
     # same bond multiset, different step orders: distinct orbits
@@ -38,14 +38,14 @@ def test_phi_examples():
 
 
 def test_phi_rejects_open_words():
-    with pytest.raises(DoesNotClose):
+    with pytest.raises(NotLatticePoint):
         phi(CirculantGraph(9, 1, 4), "aab", 0)
 
 
 def test_phi_is_rotation_invariant():
     G = CirculantGraph(7, 1, 3)
     for w in ("aabaabb", "abababa", "aaaaaab", "abb" * 2 + "a"):
-        if G.transit_distance(w) % G.n:
+        if (len(w) * G.a + w.count("b") * G.d) % G.n:
             continue
         base = phi(G, w, 2)
         path = G.path_from(2, w)
@@ -97,8 +97,8 @@ def test_repetition_divides_length_bcount_winding():
     for G in (CirculantGraph(5, 1, 4), CirculantGraph(9, 1, 4), CirculantGraph(8, 2, 3)):
         for l in range(1, 11):
             for o in enumerate_orbits(G, l):
-                assert o.l % o.repetition == 0
-                assert o.k % o.repetition == 0
+                assert len(o.steps) % o.repetition == 0
+                assert o.steps.count("b") % o.repetition == 0
                 assert o.omega % o.repetition == 0
 
 
@@ -272,7 +272,7 @@ def test_repetition_law_mismatches_follow_enumeration_order(monkeypatch):
     expected = [
         {"n": G.n, "a": G.a, "b": G.b, "l": l, "kind": "repetition-law",
          "expected": str(predicted(G, o.steps) + decompose(o.steps).repetition),
-         "actual": str(o.repetition), "k": o.k}
+         "actual": str(o.repetition), "k": o.steps.count("b")}
         for G in connected_graphs(6) for l in range(1, 9) for o in enumerate_orbits(G, l)
     ]
     got = [m for m in report["mismatches"] if m["kind"] == "repetition-law"]
