@@ -47,15 +47,13 @@ def test_connectivity_examples():
     assert not CirculantGraph(9, 3, 6).is_strongly_connected()
 
 
-def test_winding_number_examples():
+def test_transit_distance_examples():
+    # The transit distance l*a + k*d is n times the winding number of a
+    # closing word, and is named in the NotLatticePoint message otherwise.
     G = CirculantGraph(9, 1, 4)
-    assert G.winding_number("aabaabaab") == 18 // 9
+    assert G.winding_number("aabaabaab") * G.n == 18
     G21 = CirculantGraph(21, 4, 10)
-    assert G21.winding_number("a" * 11 + "b" * 4) == 84 // 21
-    G5 = CirculantGraph(5, 1, 4)
-    assert G5.winding_number("ab") == 1
-    G3 = CirculantGraph(3, 1, 2)
-    assert [G3.winding_number(w) for w in ("aaa", "ab", "bbb")] == [1, 1, 2]
+    assert G21.winding_number("a" * 11 + "b" * 4) * G21.n == 84 == 4 * 21
     with pytest.raises(NotLatticePoint, match=r"^word 'a' has transit distance 1, "
                                               r"not a multiple of n=9$"):
         G.winding_number("a")
@@ -63,6 +61,17 @@ def test_winding_number_examples():
         G.winding_number("b")
     with pytest.raises(NotLatticePoint, match="transit distance 74,"):
         G21.winding_number("a" * 11 + "b" * 3)
+
+
+def test_winding_number_examples():
+    G = CirculantGraph(9, 1, 4)
+    assert G.winding_number("aabaabaab") == 2
+    G21 = CirculantGraph(21, 4, 10)
+    assert G21.winding_number("a" * 11 + "b" * 4) == 4
+    G5 = CirculantGraph(5, 1, 4)
+    assert G5.winding_number("ab") == 1
+    G3 = CirculantGraph(3, 1, 2)
+    assert [G3.winding_number(w) for w in ("aaa", "ab", "bbb")] == [1, 1, 2]
     with pytest.raises(NotLatticePoint):
         G5.winding_number("a")
 
