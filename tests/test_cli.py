@@ -16,14 +16,15 @@ from circorbits import (
     bcounts_for_length,
     cli,
     counting,
-    divisors,
     enumerate_orbits,
     list_lyndon,
     oracle,
     to_step_string,
 )
 from circorbits.cli import main
-from circorbits.numtheory import moebius
+from circorbits.words import DEFAULT_BUDGET
+
+from brute import naive_divisors, naive_mu
 
 
 def run_cli(capsys, *argv):
@@ -200,19 +201,17 @@ def test_lyndon_count_and_list(capsys):
     ]
 
 
+def _moebius_comb_sum(l, k, g):
+    return sum(naive_mu(m) * math.comb(l // m, k // m) for m in naive_divisors(g))
+
+
 def test_lyndon_count_big_class(capsys):
     code, out, _ = run_cli(capsys, "lyndon", "count", "--length", "360", "--bcount", "240")
     assert code == 0
-    expected = sum(
-        moebius(m) * math.comb(360 // m, 240 // m) for m in divisors(math.gcd(360, 240))
-    )
+    expected = _moebius_comb_sum(360, 240, math.gcd(360, 240))
     assert expected % 360 == 0
     assert out.strip() == str(expected // 360)
     assert len(out.strip()) >= 90  # roughly C(360,240)/360, far beyond 64-bit
-
-
-def _moebius_comb_sum(l, k, g):
-    return sum(moebius(m) * math.comb(l // m, k // m) for m in divisors(g))
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -235,6 +234,23 @@ def test_counts_past_the_int_str_digit_limit_are_printed(capsys, argv, expected)
         assert len(printed) > 4321
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_lyndon_count_ignores_steps(capsys):
+    bare = run_cli(capsys, "lyndon", "count", "--length", "9", "--bcount", "3")
+    assert bare == (0, "9\n", "")
+    assert run_cli(capsys, "lyndon", "count", "--length", "9", "--bcount", "3",
+                   "--steps", "9,1,4") == bare
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_budget_help_names_the_default_budget(capsys, command):
+    assert DEFAULT_BUDGET & (DEFAULT_BUDGET - 1) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"(default CIRCORBITS_BUDGET or 2^{DEFAULT_BUDGET.bit_length() - 1})" in out
 
 
 def test_lyndon_bad_bcount_exits_2(capsys):

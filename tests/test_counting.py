@@ -23,7 +23,7 @@ from circorbits import (
 )
 from circorbits.counting import _finish
 
-from brute import closed_walks_binomial, closed_walks_polynomial
+from brute import closed_walks_binomial, closed_walks_polynomial, naive_divisors, naive_mu
 
 
 def test_reduced_big_example():
@@ -105,6 +105,19 @@ def test_reduced_equals_unreduced_sweep():
                 # integrality guard: l divides n * (signed term sum) on both routes
                 for rep in (red, unred):
                     assert G.n * sum(t.mu * t.binomial for t in rep.terms) == rep.count * c.l
+
+
+def test_unreduced_terms_are_the_repetition_blocks():
+    # Block q | gamma coprime to omega, then squarefree m | gamma/q, both increasing.
+    for G in connected_graphs(12):
+        for l in range(1, 25):
+            for c in bcounts_for_length(G, l):
+                gamma = math.gcd(l, c.k)
+                expected = [(q, m, naive_mu(m), math.comb(l // (q * m), c.k // (q * m)))
+                            for q in naive_divisors(gamma) if math.gcd(q, c.omega) == 1
+                            for m in naive_divisors(gamma // q) if naive_mu(m)]
+                terms = count_orbits_lk_unreduced(G, l, c.k).terms
+                assert [(t.q, t.m, t.mu, t.binomial) for t in terms] == expected, (G, c)
 
 
 def test_count_orbits_l_with_the_unreduced_counter():

@@ -11,6 +11,7 @@ from circorbits import (
     RejectedParameters,
     basis,
     bcounts_for_length,
+    connected_graphs,
     lattice_points,
     skipped_windings,
     winding_bounds,
@@ -114,6 +115,20 @@ def test_lattice_points_match_direct_scan():
             assert got == expected, (G, l)
 
 
+def test_bcounts_for_length_equals_the_bcount_scan():
+    # Every b-count 0 <= k <= 90 is tested once per graph: k closes at
+    # length l exactly when k*d = -l*a (mod n).
+    for G in connected_graphs(40):
+        n, a, d = G.n, G.a, G.d
+        closing = {}
+        for k in range(91):
+            closing.setdefault(k * d % n, []).append(k)
+        for l in range(1, 91):
+            expected = [OrbitClass(l, k, (l * a + k * d) // n)
+                        for k in closing.get(-l * a % n, ()) if k <= l]
+            assert bcounts_for_length(G, l) == expected, (G, l)
+
+
 def test_every_class_has_winding_divisible_by_g():
     for G in (CirculantGraph(21, 4, 10), CirculantGraph(12, 2, 5), CirculantGraph(15, 3, 9)):
         if not G.is_strongly_connected():
@@ -158,3 +173,4 @@ def test_class_walk_equals_winding_scan(case):
     G, l = case
     got = [(c.k, c.omega) for c in bcounts_for_length(G, l)]
     assert got == winding_scan(G.n, G.a, G.b, l)
+    assert got == closed_lattice_scan(G.n, G.a, G.b, l)

@@ -148,3 +148,28 @@ def test_scaled_binomial_rejects_bad_arguments():
         scaled_binomial(0, 0, 1)
     with pytest.raises(ValueError):
         scaled_binomial(6, 4, 0)
+
+
+def _from_factorisation(factors):
+    """Divisors and squarefree (d, mu(d)) pairs of prod p**e, built from the exponents."""
+    divs, signed = [1], [(1, 1)]
+    for p, e in factors.items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+        signed += [(d * p, -mu) for d, mu in signed]
+    return sorted(divs), sorted(signed)
+
+
+@pytest.mark.parametrize("m, factors", [
+    (10**12, {2: 12, 5: 12}),
+    (2**40, {2: 40}),
+    (720720 * 1000, {2: 7, 3: 2, 5: 4, 7: 1, 11: 1, 13: 1}),
+    (999999999989, {999999999989: 1}),
+], ids=["10^12", "2^40", "720720000", "prime"])
+def test_large_arguments_match_their_factorisation(m, factors):
+    divs, signed = _from_factorisation(factors)
+    assert math.prod(p**e for p, e in factors.items()) == m
+    assert divisors(m) == divs
+    assert moebius_divisors(m) == signed
+    squarefree = all(e == 1 for e in factors.values())
+    assert moebius(m) == ((-1) ** len(factors) if squarefree else 0)
+    assert [moebius(d) for d, _ in signed] == [mu for _, mu in signed]
