@@ -33,7 +33,7 @@ from .errors import CircorbitsError, InvariantViolated
 from .graph import CirculantGraph, dot_graph
 from .lattice import basis, lattice_points, skipped_windings
 from .oracle import enumerate_orbits, verify_range
-from .words import count_lyndon, list_lyndon, step_table
+from .words import DEFAULT_BUDGET, count_lyndon, list_lyndon, step_table
 
 
 def _report_json(G: CirculantGraph, method: str, report: OrbitCountReport) -> dict:
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--bcount", type=int, required=True)
     p.add_argument("--steps", default=None,
-                   help="n,a,b graph context: list words in step notation "
-                        "(a leading '-' needs --steps=-9,1,4)")
+                   help="n,a,b graph context for list (count ignores it): words in step "
+                        "notation (a leading '-' needs --steps=-9,1,4)")
     p.set_defaults(func=_cmd_lyndon)
 
     p = sub.add_parser("enumerate", help="brute-force orbit enumeration (JSON lines)")
@@ -209,15 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primitive-only", action="store_true")
     p.add_argument("--budget", type=int, default=None,
                    help="work budget, charged max(W, l)*n*l for W candidate words "
-                        "(default CIRCORBITS_BUDGET or 2^28)")
+                        f"(default CIRCORBITS_BUDGET or 2^{DEFAULT_BUDGET.bit_length() - 1})")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="sweep formulas against enumeration; exit 1 on mismatch")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--budget", type=int, default=None,
-                   help="work budget per (graph, length), charged as enumerate without "
-                        "--bcount (default CIRCORBITS_BUDGET or 2^28)")
+                   help="work budget per (graph, length), charged as enumerate without --bcount "
+                        f"(default CIRCORBITS_BUDGET or 2^{DEFAULT_BUDGET.bit_length() - 1})")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("graph", help="emit a circulant digraph as Graphviz DOT")

@@ -4,8 +4,8 @@ Two equivalent routes are implemented. The reduced formula counts orbits
 of length l and b-count k as (n/l) * sum of mu(m)*C(l/m, k/m) over the
 common divisors m of l, k and the winding number. The unreduced formula
 splits the same count over word repetition numbers q coprime to the
-winding number, one block of Lyndon-word counts per q; both must agree,
-and the brute-force oracle module checks them against direct enumeration.
+winding number, one block of Lyndon-word counts per q, from the `_blocks`
+walk that sum_reduction_check shares. The brute-force oracle checks both.
 
 All arithmetic keeps the signed divisor sum as an exact integer, then
 multiplies by n and divides by l; integrality of that final division is
@@ -79,6 +79,12 @@ def count_orbits_l(G: CirculantGraph, l: int,
     return sum(r.count for r in reports), reports
 
 
+def _blocks(gamma: int, omega: int) -> list[tuple[int, int, int]]:
+    """(q, m, mu(m)) for each block q | gamma coprime to omega and squarefree m | gamma/q."""
+    return [(q, m, mu) for q in divisors(gamma) if math.gcd(q, omega) == 1
+            for m, mu in moebius_divisors(gamma // q)]
+
+
 def count_orbits_lk_unreduced(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
     """Primitive-orbit count via the repetition-number split.
 
@@ -91,25 +97,21 @@ def count_orbits_lk_unreduced(G: CirculantGraph, l: int, k: int) -> OrbitCountRe
         raise NotLatticePoint(
             f"(l={l}, k={k}) is not a lattice point of C_{G.n}({G.a},{G.b})"
         )
-    gamma = math.gcd(l, k)
     terms = [CountTerm(m, mu, binomial(l // (q * m), k // (q * m)), q=q)
-             for q in divisors(gamma) if math.gcd(q, omega) == 1
-             for m, mu in moebius_divisors(gamma // q)]
+             for q, m, mu in _blocks(math.gcd(l, k), omega)]
     return _finish(G, l, k, omega, terms)
 
 
 def sum_reduction_check(gamma: int, omega: int, f: Mapping[int, int]) -> tuple[int, int]:
     """Both sides of the divisor-sum collapse identity, for equality testing.
 
-    lhs iterates divisors q of gamma coprime to omega and squarefree
-    divisors s of gamma/q, weighting f(q*s) by mu(s); rhs is the plain
-    Moebius sum of f over divisors of gcd(gamma, omega). f must be defined
-    on every divisor of gamma.
+    lhs weights f(q*s) by mu(s) over the repetition blocks (q, s) that
+    count_orbits_lk_unreduced sums; rhs is the plain Moebius sum of f over
+    the divisors of gcd(gamma, omega). f must be defined on every divisor of gamma.
     """
     if gamma < 1 or omega < 1:
         raise ValueError(f"gamma and omega must be >= 1, got ({gamma}, {omega})")
-    lhs = sum(mu * f[q * s] for q in divisors(gamma) if math.gcd(q, omega) == 1
-              for s, mu in moebius_divisors(gamma // q))
+    lhs = sum(mu * f[q * s] for q, s, mu in _blocks(gamma, omega))
     rhs = sum(mu * f[m] for m, mu in moebius_divisors(math.gcd(gamma, omega)))
     return lhs, rhs
 

@@ -73,23 +73,22 @@ def winding_bounds(G: CirculantGraph, l: int) -> tuple[int, int]:
 def bcounts_for_length(G: CirculantGraph, l: int) -> list[OrbitClass]:
     """All admissible orbit classes of length l, sorted by winding number.
 
-    The b-count is integral when omega*n = l*a (mod d). With h = gcd(n, d)
-    that needs h | l (a connected graph has gcd(h, a) = 1), and then only
-    one residue class of omega mod d/h, the one walked here.
+    k solves l*a + k*d = 0 (mod n) with 0 <= k <= l, and omega grows with k.
+    With h = gcd(n, d) that needs h | l; then k runs over the one residue class
+    -(l/h)*a*(d/h)^-1 mod n/h (all of them: connected means gcd(h, a) = 1).
     """
     G.require_connected()
-    lo, hi = winding_bounds(G, l)
+    check_lk(l, 0)
     n, a, d, g = G.n, G.a, G.d, G.g
     h = math.gcd(n, d)
     if l % h:
         return []
-    step = d // h
-    first = (l * a // h) * pow(n // h, -1, step) % step
+    step = n // h
     out = []
-    for omega in range(lo + (first - lo) % step, hi + 1, step):
-        k, rest = divmod(omega * n - l * a, d)
-        if rest or not 0 <= k <= l or omega % g:
-            raise InvariantViolated(f"winding {omega} of l={l} on C_{n}({a},{G.b}) is not a class")
+    for k in range(-(l // h) * a * pow(d // h, -1, step) % step, l + 1, step):
+        omega, rest = divmod(l * a + k * d, n)
+        if rest or omega % g:
+            raise InvariantViolated(f"b-count {k} of l={l} on C_{n}({a},{G.b}) is not a class")
         out.append(OrbitClass(l, k, omega))
     return out
 

@@ -3,9 +3,9 @@
 Everything here is plain arbitrary-precision integer math; no floating
 point is used anywhere, and every routine stays exact.
 
-`moebius_divisors` is the one Moebius-sum walk: every formula in the
-package sums over its (d, mu(d)) pairs, so no other module calls
-`moebius` or loops over `divisors` to build a Moebius sum.
+`_factor` is the one factorisation and `moebius_divisors` the one
+Moebius-sum walk, whose (d, mu(d)) pairs every formula sums over: no other
+routine trial-divides, and no other module calls `moebius` for a Moebius sum.
 
 Every count is a Moebius sum of binomials, so `binomial` is the hot path.
 It picks one of two methods from its inputs alone. With y = min(y, x - y),
@@ -25,43 +25,41 @@ from bisect import bisect_right
 from itertools import compress
 
 
-def moebius(m: int) -> int:
-    """Moebius function: 1 for m=1, (-1)^h for a product of h distinct primes, 0 otherwise."""
+def _factor(m: int, caller: str = "divisors") -> list[int]:
+    """The prime factors of m >= 1, repeated by multiplicity, in increasing order."""
     if m < 1:
-        raise ValueError(f"moebius needs m >= 1, got {m}")
-    h = 0
+        raise ValueError(f"{caller} needs m >= 1, got {m}")
+    primes = []
     p = 2
     while p * p <= m:
-        if m % p == 0:
+        if m % p:
+            p += 1 if p == 2 else 2
+        else:
             m //= p
-            if m % p == 0:
-                return 0
-            h += 1
-        p += 1 if p == 2 else 2
-    if m > 1:
-        h += 1
-    return -1 if h % 2 else 1
+            primes.append(p)
+    return primes + [m] if m > 1 else primes
+
+
+def moebius(m: int) -> int:
+    """Moebius function: 1 for m=1, (-1)^h for a product of h distinct primes, 0 otherwise."""
+    primes = _factor(m, "moebius")
+    return (-1) ** len(primes) if len(set(primes)) == len(primes) else 0
 
 
 def divisors(m: int) -> list[int]:
     """All divisors of m >= 1 in increasing order, including 1 and m."""
-    if m < 1:
-        raise ValueError(f"divisors needs m >= 1, got {m}")
-    small: list[int] = []
-    large: list[int] = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            small.append(i)
-            if i != m // i:
-                large.append(m // i)
-        i += 1
-    return small + large[::-1]
+    out = {1}
+    for p in _factor(m):
+        out |= {d * p for d in out}
+    return sorted(out)
 
 
 def moebius_divisors(m: int) -> list[tuple[int, int]]:
-    """The pairs (d, mu(d)) over the divisors d of m >= 1 with mu(d) != 0, d increasing."""
-    return [(d, mu) for d in divisors(m) if (mu := moebius(d))]
+    """The pairs (d, mu(d)) over the squarefree divisors d of m >= 1, d increasing."""
+    squarefree = [1]
+    for p in set(_factor(m)):
+        squarefree += [d * p for d in squarefree]
+    return [(d, moebius(d)) for d in sorted(squarefree)]
 
 
 # (limit, primes): every prime <= limit, in increasing order. Built on

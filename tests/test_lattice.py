@@ -169,7 +169,7 @@ def _connected_graph_and_length(draw):
 
 @given(_connected_graph_and_length())
 def test_class_walk_equals_winding_scan(case):
-    # bcounts_for_length walks one residue class of windings; the scan tests them all
+    # bcounts_for_length walks one residue class of b-counts; both scans test them all
     G, l = case
     got = [(c.k, c.omega) for c in bcounts_for_length(G, l)]
     assert got == winding_scan(G.n, G.a, G.b, l)

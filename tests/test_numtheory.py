@@ -19,7 +19,7 @@ def test_moebius_examples():
 
 
 def test_moebius_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^moebius needs m >= 1, got 0$"):
         moebius(0)
 
 
@@ -43,7 +43,7 @@ def test_divisors_examples():
 
 
 def test_divisors_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^divisors needs m >= 1, got 0$"):
         divisors(0)
 
 
@@ -58,7 +58,7 @@ def test_moebius_divisors_examples_and_rejects_nonpositive():
     assert moebius_divisors(120) == [(1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (10, 1),
                                      (15, 1), (30, -1)]
     for m in (0, -4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^divisors needs m >= 1, got {m}$"):
             moebius_divisors(m)
 
 
