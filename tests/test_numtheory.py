@@ -104,6 +104,24 @@ def test_binomial_edges_equal_math_comb(x, y):
     assert binomial(x, y) == math.comb(x, y)
 
 
+def _threshold_ys(x):
+    """y on both sides of y = 400 and of y * x.bit_length() = x, and at x +- 1 when reachable."""
+    bits = x.bit_length()
+    first = -(-x // bits)  # the least y with y * bits >= x
+    ys = {399, 400, first - 1, first}
+    ys.update(v // bits for v in (x - 1, x + 1) if v % bits == 0)
+    return sorted(ys)
+
+
+def test_binomial_at_powers_of_two_rising_then_falling():
+    # x = 2^j - 1, 2^j, 2^j + 1 for j = 9..16: every second size going up,
+    # then the others going down, so later calls reuse primes sieved earlier.
+    sizes = [2**j + e for j in range(9, 17) for e in (-1, 0, 1)]
+    for x in sizes[::2] + sizes[1::2][::-1]:
+        for y in _threshold_ys(x):
+            assert binomial(x, y) == math.comb(x, y), (x, y)
+
+
 def test_binomial_method_follows_the_size_rule(monkeypatch):
     monkeypatch.setattr(numtheory, "_sieve", (1, []))
     for x, y in [(800, 399), (5000, 399), (14001, 1000), (14000, 13001)]:

@@ -43,14 +43,20 @@ def test_phi_rejects_open_words():
 
 
 def test_phi_is_rotation_invariant():
+    # On C_7(1,3) a word closes when l + 2k = 0 (mod 7): k = 1, 4, 3, 0 (mod 7)
+    # at l = 5, 6, 8, 7. "abbabb" and "aaaaaaa" are proper powers.
     G = CirculantGraph(7, 1, 3)
-    for w in ("aabaabb", "abababa", "aaaaaab", "abb" * 2 + "a"):
+    words = ("aaaab", "ababbb", "abbabb", "aabaabab", "aaaaaaa")
+    checked = 0
+    for w in words:
         if (len(w) * G.a + w.count("b") * G.d) % G.n:
             continue
         base = phi(G, w, 2)
         path = G.path_from(2, w)
         for s, rotated in enumerate(string_rotations(w)):
             assert phi(G, rotated, path[s]) == base
+        checked += 1
+    assert checked == len(words)
 
 
 def test_enumerate_class_examples():
