@@ -7,6 +7,8 @@ primitive orbits; the remaining orbits of the class are reached by other
 start vertices and by cubes of the single Lyndon word of length 3.
 """
 
+from itertools import accumulate
+
 from circorbits import (
     CirculantGraph,
     count_lyndon,
@@ -25,7 +27,8 @@ assert len(words) == count_lyndon(9, 3) == 9
 print(f"Lyndon words of length 9 with b-count 3, on C_{G.n}({G.a},{G.b}):")
 for w in words:
     orbit = phi(G, w, 0)
-    path = G.path_from(0, w)
+    path = accumulate((G.a if c == "a" else G.b for c in w), lambda v, s: (v + s) % G.n,
+                      initial=0)
     print(f"  {to_step_string(w, G.a, G.b)}  vertices {'-'.join(map(str, path))}")
     assert orbit.is_primitive()
 

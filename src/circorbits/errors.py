@@ -27,7 +27,7 @@ class NotLatticePoint(CircorbitsError, ValueError):
 
 
 class BudgetExceeded(CircorbitsError, RuntimeError):
-    """Requested enumeration is larger than the configured work budget."""
+    """Requested enumeration or binomial sum is larger than the configured work budget."""
 
     exit_code = 4
 

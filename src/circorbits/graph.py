@@ -61,17 +61,6 @@ class CirculantGraph(namedtuple("CirculantGraph", "n a b")):
             )
         return delta // self.n
 
-    def path_from(self, v: int, w: str) -> list[int]:
-        """Vertex sequence of the walk from v with step word w; [v] for the empty word."""
-        if w:
-            check_word(w)
-        v %= self.n
-        out = [v]
-        for c in w:
-            v = (v + (self.a if c == "a" else self.b)) % self.n
-            out.append(v)
-        return out
-
 
 def dot_graph(n: int, steps: Sequence[int]) -> str:
     """Graphviz DOT text for the circulant digraph on n vertices with the given steps.

@@ -15,13 +15,14 @@ the only big operation is Karatsuba multiplication (P. Goetgheluck,
 "Computing binomial coefficients", Amer. Math. Monthly 94, 1987).
 Otherwise it calls math.comb, which is faster there. The second condition
 keeps the prime sieve about as small as the result: C(10**9, 500) builds
-none.
+none. The sieve is a cached pure function, one per power-of-two bound.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import cache
 from itertools import compress
 
 
@@ -62,27 +63,15 @@ def moebius_divisors(m: int) -> list[tuple[int, int]]:
     return [(d, moebius(d)) for d in sorted(squarefree)]
 
 
-# (limit, primes): every prime <= limit, in increasing order. Built on
-# first use, never at import, and grown geometrically by rebinding the
-# name to a new pair, never by mutating the list, so a caller that holds
-# the old list keeps a valid one. Shared by every later binomial call.
-_sieve: tuple[int, list[int]] = (1, [])
-
-
-def _primes_upto(x: int) -> list[int]:
-    """A list of primes, in increasing order, that contains every prime <= x."""
-    global _sieve
-    limit, primes = _sieve
-    if limit < x:
-        limit = max(x, 2 * limit)
-        flags = bytearray([1]) * (limit + 1)
-        flags[:2] = b"\0\0"
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-        primes = list(compress(range(limit + 1), flags))
-        _sieve = (limit, primes)
-    return primes
+@cache
+def _primes_below(limit: int) -> list[int]:
+    """Every prime below limit, in increasing order; the cached list is shared, never mutated."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return list(compress(range(limit), flags))
 
 
 def _product(factors: list[int]) -> int:
@@ -113,7 +102,7 @@ def binomial(x: int, y: int) -> int:
     y = min(y, x - y)
     if y < 400 or y * x.bit_length() < x:
         return math.comb(x, y)
-    primes = _primes_upto(x)
+    primes = _primes_below(1 << x.bit_length())
     root = bisect_right(primes, math.isqrt(x))
     factors = primes[bisect_right(primes, x - y):bisect_right(primes, x)]
     factors += [p for p in primes[root:bisect_right(primes, x // 2)] if x % p < y % p]

@@ -36,6 +36,14 @@ def resolve_budget(budget: int | None) -> int:
     return budget
 
 
+def _charge_binomials(l: int, k: int) -> None:
+    """Refuse C(l/m, k/m) sums above the budget; min(k, l-k) * bits(l) bounds log2 C(l, k)."""
+    charge, budget = min(k, l - k) * l.bit_length(), resolve_budget(None)
+    if charge > budget:
+        raise BudgetExceeded(f"binomials of (l={l}, k={k}) charge {charge} > budget {budget} "
+                             f"(min(k, l-k) * bits(l))")
+
+
 WordDecomposition = namedtuple("WordDecomposition", "root repetition")
 WordDecomposition.__doc__ = "A word split as root * repetition, with root primitive."
 
@@ -72,6 +80,7 @@ def count_lyndon(l: int, k: int) -> int:
     divided by l; the division is exact.
     """
     check_lk(l, k)
+    _charge_binomials(l, k)
     total = sum(mu * binomial(l // m, k // m) for m, mu in moebius_divisors(math.gcd(l, k)))
     if total % l:
         raise InvariantViolated(f"non-integer Lyndon count for (l={l}, k={k})")
@@ -81,6 +90,7 @@ def count_lyndon(l: int, k: int) -> int:
 def count_nonprimitive(l: int, k: int) -> int:
     """Number of nonprimitive words of length l with b-count k (inclusion-exclusion)."""
     check_lk(l, k)
+    _charge_binomials(l, k)
     return -sum(
         mu * binomial(l // m, k // m) for m, mu in moebius_divisors(math.gcd(l, k)) if m > 1
     )

@@ -73,6 +73,14 @@ def lyndon_words_direct(l, k):
     return sorted(out)
 
 
+def walk(n, a, b, v, w):
+    """Vertices of the walk from v with step word w on C_n(a, b): the start, then one per letter.
+
+    Vertex i is v plus the steps of the first i letters, counted afresh for each i.
+    """
+    return [(v + w[:i].count("a") * a + w[:i].count("b") * b) % n for i in range(len(w) + 1)]
+
+
 def string_is_primitive(w):
     l = len(w)
     return all(w != w[:p] * (l // p) for p in range(1, l) if l % p == 0)

@@ -266,6 +266,33 @@ def test_lyndon_list_budget_exits_4(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("lyndon", "count", "--length", str(10**30), "--bcount", str(10**29)),
+    ("lyndon", "list", "--length", str(10**30), "--bcount", str(10**29)),
+    ("count", "--n", "7", "--a", "1", "--b", "3", "--length", str(10**30),
+     "--bcount", str(10**29 + 5)),
+], ids=["lyndon-count", "lyndon-list", "count"])
+def test_huge_binomials_are_refused_before_the_sieve(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
+    l, k = int(argv[-3]), int(argv[-1])
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert result == (4, "", f"error: binomials of (l={l}, k={k}) charge {k * 100} > budget "
+                             f"{DEFAULT_BUDGET} (min(k, l-k) * bits(l))\n")
+
+
+def test_lyndon_count_charge_follows_the_environment_budget(capsys, monkeypatch):
+    # min(1000, 1000) * bits(2000) = 11000
+    argv = ("lyndon", "count", "--length", "2000", "--bcount", "1000")
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "10000")
+    assert run_cli(capsys, *argv) == (4, "", "error: binomials of (l=2000, k=1000) charge "
+                                             "11000 > budget 10000 (min(k, l-k) * bits(l))\n")
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "11000")
+    expected = _moebius_comb_sum(2000, 1000, 1000) // 2000
+    assert run_cli(capsys, *argv) == (0, f"{expected}\n", "")
+
+
 def test_invariant_violation_exits_5(capsys, monkeypatch):
     # a wrong binomial makes 21 * C / 15 non-integral, which the count refuses to print
     monkeypatch.setattr(counting, "binomial", lambda x, y: 1)

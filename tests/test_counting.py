@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circorbits import (
+    BudgetExceeded,
     CirculantGraph,
     CountTerm,
     DisconnectedGraph,
@@ -14,6 +15,7 @@ from circorbits import (
     binomial,
     connected_graphs,
     count_lyndon,
+    count_nonprimitive,
     count_orbits_l,
     count_orbits_lk,
     count_orbits_lk_unreduced,
@@ -21,7 +23,7 @@ from circorbits import (
     predicted_repetition,
     sum_reduction_check,
 )
-from circorbits.counting import _finish
+from circorbits.counting import OrbitCountReport, _finish
 
 from brute import closed_walks_binomial, closed_walks_polynomial, naive_divisors, naive_mu
 
@@ -253,3 +255,28 @@ def test_reduced_equals_unreduced_at_composite_lengths(l):
               CirculantGraph(60, 7, 13)):
         for c in bcounts_for_length(G, l):
             assert count_orbits_lk(G, l, c.k).count == count_orbits_lk_unreduced(G, l, c.k).count, (G, c)
+
+
+def test_formula_charge_comes_after_the_existing_refusals(monkeypatch):
+    # (15, 4) closes on C_21(4,10) and is charged min(4, 11) * bits(15) = 16.
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "16")
+    G = CirculantGraph(21, 4, 10)
+    assert count_lyndon(15, 4) == 91 and count_orbits_lk(G, 15, 4).count == 1911
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "15")
+    line = r"^binomials of \(l=15, k=4\) charge 16 > budget 15 \(min\(k, l-k\) \* bits\(l\)\)$"
+    for count in (count_lyndon, count_nonprimitive):
+        with pytest.raises(BudgetExceeded, match=line):
+            count(15, 4)
+    for counter in (count_orbits_lk, count_orbits_lk_unreduced):
+        with pytest.raises(BudgetExceeded, match=line):
+            counter(G, 15, 4)
+    # Range, connectivity and lattice-point refusals come first; off the
+    # lattice the reduced count is a free zero report.
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "1")
+    with pytest.raises(ValueError, match="0 <= k <= l"):
+        count_lyndon(3, 5)
+    with pytest.raises(DisconnectedGraph):
+        count_orbits_lk(CirculantGraph(12, 2, 4), 6, 3)
+    assert count_orbits_lk(G, 15, 5) == OrbitCountReport(15, 5, None, 0, ())
+    with pytest.raises(NotLatticePoint):
+        count_orbits_lk_unreduced(G, 15, 5)

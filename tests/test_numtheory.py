@@ -122,36 +122,35 @@ def test_binomial_at_powers_of_two_rising_then_falling():
             assert binomial(x, y) == math.comb(x, y), (x, y)
 
 
-def test_binomial_method_follows_the_size_rule(monkeypatch):
-    monkeypatch.setattr(numtheory, "_sieve", (1, []))
-    for x, y in [(800, 399), (5000, 399), (14001, 1000), (14000, 13001)]:
-        binomial(x, y)
-    assert numtheory._sieve == (1, [])
-    binomial(800, 400)
-    assert numtheory._sieve[0] >= 800
-    binomial(14000, 1000)
-    assert numtheory._sieve[0] >= 14000
+def _sieves(*calls):
+    """Clear the sieve cache, run binomial on each (x, y) and return (hits, misses)."""
+    numtheory._primes_below.cache_clear()
+    for x, y in calls:
+        assert binomial(x, y) == math.comb(x, y)
+    return numtheory._primes_below.cache_info()[:2]
 
 
-def test_binomial_sieve_grows_and_is_reused(monkeypatch):
-    monkeypatch.setattr(numtheory, "_sieve", (1, []))
-    assert binomial(6000, 2500) == math.comb(6000, 2500)
-    grown = numtheory._sieve
-    assert grown[0] >= 6000 and grown[1][-1] == 5987
-    assert binomial(1200, 700) == math.comb(1200, 700)
-    assert numtheory._sieve is grown
-    assert binomial(25000, 12345) == math.comb(25000, 12345)
-    limit, primes = numtheory._sieve
-    assert limit >= 25000 and primes[:len(grown[1])] == grown[1]
-    assert grown[1][-1] == 5987, "growth must rebind the sieve, not extend the old list"
-    assert binomial(limit + 1, 9000) == math.comb(limit + 1, 9000)
-    assert numtheory._sieve[0] >= 2 * limit
+def test_binomial_method_follows_the_size_rule():
+    # The math.comb side: y < 400, or y * x.bit_length() < x.
+    assert _sieves((800, 399), (5000, 399), (14001, 1000), (14000, 13001)) == (0, 0)
+    # The Legendre side: one sieve per power of two above x.
+    assert _sieves((800, 400)) == (0, 1)
+    assert _sieves((800, 400), (14000, 1000)) == (0, 2)
+
+
+def test_binomial_sieve_grows_and_is_reused():
+    # 6000 and 7000 share the bound 8192, 1200 gets 2048, 25000 and 30000 share 32768.
+    assert _sieves((6000, 2500), (7000, 3000), (1200, 700), (25000, 12345),
+                   (30000, 15000), (6500, 3000)) == (3, 3)
+    held = numtheory._primes_below(8192)
+    assert (len(held), held[-1]) == (1028, 8191)
+    assert binomial(8000, 4000) == math.comb(8000, 4000)
+    assert numtheory._primes_below(8192) is held and len(held) == 1028
+    assert numtheory._primes_below.cache_info().currsize == 3
 
 
 def test_binomial_small_y_with_huge_x_builds_no_sieve():
-    before = numtheory._sieve
-    assert binomial(10**9, 500) == math.comb(10**9, 500)
-    assert numtheory._sieve is before
+    assert _sieves((10**9, 500)) == (0, 0)
 
 
 def test_scaled_binomial_examples():

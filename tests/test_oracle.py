@@ -21,7 +21,7 @@ from circorbits import (
     verify_range,
 )
 
-from brute import enumerate_orbits_reference, is_lyndon, string_rotations
+from brute import enumerate_orbits_reference, is_lyndon, string_rotations, walk
 
 
 def test_phi_examples():
@@ -52,7 +52,7 @@ def test_phi_is_rotation_invariant():
         if (len(w) * G.a + w.count("b") * G.d) % G.n:
             continue
         base = phi(G, w, 2)
-        path = G.path_from(2, w)
+        path = walk(*G, 2, w)
         for s, rotated in enumerate(string_rotations(w)):
             assert phi(G, rotated, path[s]) == base
         checked += 1
@@ -115,7 +115,7 @@ def test_enumerate_dedup_soundness():
     orbits = enumerate_orbits(G, 6)
     assert len(orbits) == len(set(orbits))
     for o in orbits:
-        path = G.path_from(o.start, o.steps)
+        path = walk(*G, o.start, o.steps)
         for s, rotated in enumerate(string_rotations(o.steps)):
             assert phi(G, rotated, path[s]) == o
 
