@@ -599,7 +599,31 @@ def test_unknown_flags_exit_2(capsys):
     capsys.readouterr()
 
 
-_INT = st.integers(-2, 12).map(str)
+_COUNT = "count --n 21 --a 4 --b 10 --length 15"
+# Help and usage-error argv. Each is compared with the full parser in the
+# same interpreter, because argparse's wording differs between versions.
+_USAGE_ARGV = [
+    "-h", *(f"{c} --help" for c in ("count", "lattice", "lyndon", "enumerate", "verify", "graph")),
+    "", "bogus", "coun", "-h count", "count --n x", f"{_COUNT} extra", f"{_COUNT} --method x",
+    "lyndon bad --length 5 --bcount 2", "graph --n 5 --steps -1,2",
+    "verify --nmax 4 --lmax 2 graph",
+]
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", _USAGE_ARGV)
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    results = []
+    for call in (main, lambda a: cli.build_parser().parse_args(a)):
+        with pytest.raises(SystemExit) as exc:
+            call(argv.split())
+        results.append((exc.value.code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == (0 if {"-h", "--help"} & set(argv.split()) else 2)
+
+
+_INT =st.integers(-2, 12).map(str)
 _STEPS = st.lists(st.integers(-2, 12), min_size=1, max_size=4).map(
     lambda xs: ",".join(map(str, xs)))
 

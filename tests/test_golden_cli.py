@@ -80,3 +80,12 @@ def test_cli_output_is_unchanged(capsys, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
+    name, argv, code, digest = GOLDEN[0]
+    assert name == "count-json"
+    monkeypatch.setattr("sys.argv", ["circorbits", *argv.split()])
+    assert main() == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
