@@ -14,6 +14,13 @@ The library returns plain values and the JSON, CSV and text shapes are
 built here, except `oracle.verify_range`'s report (a dict with decimal-string
 counts) and `graph.dot_graph`'s DOT text. Counts inside JSON are decimal
 strings so consumers are not limited to 53-bit integers.
+
+Each call builds the parser of the subcommand it names and no other:
+building all six takes about four times as long as building one, and for
+a small count that is most of the call. An argv that names no subcommand
+(help, none, an unknown one) gets the full parser, and so does one that
+leaves an argument over, so every help text and usage error is the full
+parser's.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 
 from .counting import (
     OrbitCountReport,
@@ -164,20 +172,14 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="circorbits",
-        description="Exact primitive periodic orbit counts on two-step circulant digraphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _graph_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="number of vertices")
+    p.add_argument("--a", type=int, required=True, help="smaller step size")
+    p.add_argument("--b", type=int, required=True, help="larger step size")
 
-    def add_graph_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, required=True, help="number of vertices")
-        p.add_argument("--a", type=int, required=True, help="smaller step size")
-        p.add_argument("--b", type=int, required=True, help="larger step size")
 
-    p = sub.add_parser("count", help="count primitive periodic orbits of a given length")
-    add_graph_flags(p)
+def _count_flags(p: argparse.ArgumentParser) -> None:
+    _graph_flags(p)
     p.add_argument("--length", type=int, required=True, help="orbit length (number of bonds)")
     p.add_argument("--bcount", type=int, default=None, help="restrict to this b-count")
     p.add_argument("--method", choices=["reduced", "unreduced"], default="reduced")
@@ -185,52 +187,86 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also list in-range winding numbers with no integer b-count "
                         "(ignored with --bcount)")
     p.add_argument("--format", choices=["json", "plain"], default="json")
-    p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("lattice", help="solution-lattice basis and admissible (l,k,omega) classes")
-    add_graph_flags(p)
+
+def _lattice_flags(p: argparse.ArgumentParser) -> None:
+    _graph_flags(p)
     p.add_argument("--lmax", type=int, required=True, help="largest length to list")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_lattice)
 
-    p = sub.add_parser("lyndon", help="count or list Lyndon words of fixed length and b-count")
+
+def _lyndon_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=["count", "list"])
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--bcount", type=int, required=True)
     p.add_argument("--steps", default=None,
                    help="n,a,b graph context for list (count ignores it): words in step "
                         "notation (a leading '-' needs --steps=-9,1,4)")
-    p.set_defaults(func=_cmd_lyndon)
 
-    p = sub.add_parser("enumerate", help="brute-force orbit enumeration (JSON lines)")
-    add_graph_flags(p)
+
+def _enumerate_flags(p: argparse.ArgumentParser) -> None:
+    _graph_flags(p)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--bcount", type=int, default=None)
     p.add_argument("--primitive-only", action="store_true")
     p.add_argument("--budget", type=int, default=None,
                    help="work budget, charged max(W, l)*n*l for W candidate words "
                         f"(default CIRCORBITS_BUDGET or 2^{DEFAULT_BUDGET.bit_length() - 1})")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify", help="sweep formulas against enumeration; exit 1 on mismatch")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--budget", type=int, default=None,
                    help="work budget per (graph, length), charged as enumerate without --bcount "
                         f"(default CIRCORBITS_BUDGET or 2^{DEFAULT_BUDGET.bit_length() - 1})")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("graph", help="emit a circulant digraph as Graphviz DOT")
+
+def _dot_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", required=True,
                    help="comma-separated step sizes, e.g. 1,4 (a leading '-' needs --steps=-1,2)")
-    p.set_defaults(func=_cmd_graph)
 
+
+# (name, help, function adding the flags, handler), in help order.
+_COMMANDS = (
+    ("count", "count primitive periodic orbits of a given length", _count_flags, _cmd_count),
+    ("lattice", "solution-lattice basis and admissible (l,k,omega) classes", _lattice_flags,
+     _cmd_lattice),
+    ("lyndon", "count or list Lyndon words of fixed length and b-count", _lyndon_flags,
+     _cmd_lyndon),
+    ("enumerate", "brute-force orbit enumeration (JSON lines)", _enumerate_flags,
+     _cmd_enumerate),
+    ("verify", "sweep formulas against enumeration; exit 1 on mismatch", _verify_flags,
+     _cmd_verify),
+    ("graph", "emit a circulant digraph as Graphviz DOT", _dot_flags, _cmd_graph),
+)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The CLI parser: with only the subcommand `argv[0]` names, when it names
+    one, and with all of them otherwise."""
+    parser = argparse.ArgumentParser(
+        prog="circorbits",
+        description="Exact primitive periodic orbit counts on two-step circulant digraphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
+    for name, help_, add_flags, func in named or _COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args, extra = build_parser(argv).parse_known_args(argv)
+    if extra:
+        # The usage line of the error lists every subcommand only when the
+        # full parser prints it.
+        args = build_parser().parse_args(argv)
     # Counts are printed in full, however many digits they have: lift
     # CPython's int/str digit limit while the command runs, and restore
     # the caller's value afterwards.

@@ -666,6 +666,9 @@ def _small_argv(draw):
     for part in optional:
         if draw(st.booleans()):
             argv += draw(part)
+    # A stray trailing token takes the full-parser fallback of main.
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["extra", "7"])))
     return argv
 
 
@@ -685,7 +688,9 @@ def test_every_small_request_is_answered_or_refused(argv):
             assert exc.code == 2
     if code == 0:
         assert err.getvalue() == ""
-    elif code is not None:
+    elif code is None:
+        assert err.getvalue().startswith("usage: circorbits")
+    else:
         assert code in (2, 3, 4)
         assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")
         assert err.getvalue().count("\n") == 1

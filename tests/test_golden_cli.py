@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from circorbits.cli import main
+from circorbits.cli import build_parser, main
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -80,6 +80,12 @@ def test_cli_output_is_unchanged(capsys, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [g[1] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_narrowed_parser_parses_as_the_full_one(argv):
+    argv = argv.split()
+    assert vars(build_parser(argv).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
