@@ -16,7 +16,7 @@ counts) and `graph.dot_graph`'s DOT text. Counts inside JSON are decimal
 strings so consumers are not limited to 53-bit integers.
 
 Each call builds the parser of the subcommand it names and no other:
-building all six takes about four times as long as building one, and for
+building all six takes three to four times as long as building one, and for
 a small count that is most of the call. An argv that names no subcommand
 (help, none, an unknown one) gets the full parser, and so does one that
 leaves an argument over, so every help text and usage error is the full
