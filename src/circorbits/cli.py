@@ -15,12 +15,11 @@ built here, except `oracle.verify_range`'s report (a dict with decimal-string
 counts) and `graph.dot_graph`'s DOT text. Counts inside JSON are decimal
 strings so consumers are not limited to 53-bit integers.
 
-Each call builds the parser of the subcommand it names and no other:
+Each call builds one parser, with the subcommand it names and no other:
 building all six takes three to four times as long as building one, and for
-a small count that is most of the call. An argv that names no subcommand
-(help, none, an unknown one) gets the full parser, and so does one that
-leaves an argument over, so every help text and usage error is the full
-parser's.
+a small count that is most of the call. That parser's usage line lists all
+six, and an argv that names no subcommand (help, none, an unknown one) gets
+the full parser, so every help text and usage error is the full parser's.
 """
 
 from __future__ import annotations
@@ -250,8 +249,11 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         prog="circorbits",
         description="Exact primitive periodic orbit counts on two-step circulant digraphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
+    # A narrowed parser's usage line (only "unrecognized arguments" prints it)
+    # lists all six; the full one's errors name the argument "command".
+    metavar = "{" + ",".join(c[0] for c in _COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_, add_flags, func in named or _COMMANDS:
         p = sub.add_parser(name, help=help_)
         add_flags(p)
@@ -262,11 +264,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args, extra = build_parser(argv).parse_known_args(argv)
-    if extra:
-        # The usage line of the error lists every subcommand only when the
-        # full parser prints it.
-        args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     # Counts are printed in full, however many digits they have: lift
     # CPython's int/str digit limit while the command runs, and restore
     # the caller's value afterwards.

@@ -96,7 +96,7 @@ def count_nonprimitive(l: int, k: int) -> int:
     )
 
 
-def list_lyndon(l: int, k: int, budget: int | None = None) -> list[str]:
+def list_lyndon(l: int, k: int) -> list[str]:
     """All Lyndon words of length l with b-count k, in lexicographic order.
 
     For k >= 1 these are the words a^r_0 b ... a^r_{k-1} b whose run list r
@@ -105,10 +105,10 @@ def list_lyndon(l: int, k: int, budget: int | None = None) -> list[str]:
     recursion on run lists (the fixed-density form of Ruskey and Sawada),
     pruned by the a's left and kept on an explicit stack, tries longer runs
     first and so gives lexicographic order. The work is proportional to
-    the output size l * count_lyndon(l, k); above the budget it refuses.
+    the output size l * count_lyndon(l, k); above the counts' budget it refuses.
     """
     check_lk(l, k)
-    budget = resolve_budget(budget)
+    budget = resolve_budget(None)
     cost = l * count_lyndon(l, k)
     if cost > budget:
         raise BudgetExceeded(
@@ -116,6 +116,8 @@ def list_lyndon(l: int, k: int, budget: int | None = None) -> list[str]:
         )
     if k == 0:
         return ["a"] if l == 1 else []
+    if k == 1:
+        return ["a" * (l - 1) + "b"]
     m = l - k
     pieces = ["a" * i + "b" for i in range(m + 1)]
     out = []

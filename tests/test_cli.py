@@ -623,6 +623,21 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv, 
     assert results[0][0] == (0 if {"-h", "--help"} & set(argv.split()) else 2)
 
 
+@pytest.mark.parametrize("argv", [_COUNT, f"{_COUNT} extra", "-h", "bogus"])
+def test_each_call_builds_one_parser(capsys, monkeypatch, argv):
+    build, builds = cli.build_parser, []
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    with contextlib.suppress(SystemExit):
+        main(argv.split())
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
 _INT =st.integers(-2, 12).map(str)
 _STEPS = st.lists(st.integers(-2, 12), min_size=1, max_size=4).map(
     lambda xs: ",".join(map(str, xs)))
@@ -666,10 +681,20 @@ def _small_argv(draw):
     for part in optional:
         if draw(st.booleans()):
             argv += draw(part)
-    # A stray trailing token takes the full-parser fallback of main.
+    # A stray trailing token is an "unrecognized arguments" usage error.
     if draw(st.booleans()):
         argv.append(draw(st.sampled_from(["extra", "7"])))
     return argv
+
+
+def _full_parse(argv):
+    """vars() of the full parser's namespace, or its (exit code, stderr) on a usage error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
 
 
 # No deadline: under this budget verify --nmax 12 --lmax 12 runs in full, in
@@ -677,19 +702,20 @@ def _small_argv(draw):
 @settings(max_examples=500, deadline=None)
 @given(_small_argv())
 def test_every_small_request_is_answered_or_refused(argv):
+    full = _full_parse(argv)
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         mp.setenv("CIRCORBITS_BUDGET", str(10**6))
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's own usage error
-            code = None
+        except SystemExit as exc:  # argparse's own usage error, byte for byte the full parser's
+            assert (exc.code, err.getvalue()) == full
             assert exc.code == 2
+            return
+    assert vars(cli.build_parser(argv).parse_args(argv)) == full
     if code == 0:
         assert err.getvalue() == ""
-    elif code is None:
-        assert err.getvalue().startswith("usage: circorbits")
     else:
         assert code in (2, 3, 4)
         assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")

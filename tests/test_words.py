@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -135,11 +136,25 @@ def test_list_lyndon_matches_direct_rotation_filter():
             assert list_lyndon(l, k) == lyndon_words_direct(l, k), (l, k)
 
 
-def test_list_lyndon_budget():
+def test_list_lyndon_budget(monkeypatch):
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "1000")
     with pytest.raises(BudgetExceeded):
-        list_lyndon(60, 30, budget=1000)
-    # explicit budget large enough still works
-    assert len(list_lyndon(9, 3, budget=10**6)) == 9
+        list_lyndon(60, 30)
+    # a budget large enough still works
+    monkeypatch.setenv("CIRCORBITS_BUDGET", str(10**6))
+    assert len(list_lyndon(9, 3)) == 9
+
+
+def test_list_lyndon_one_b_uses_memory_of_its_output():
+    # The run table of the general case would take about l^2 / 2 bytes.
+    tracemalloc.start()
+    try:
+        words = list_lyndon(20001, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == ["a" * 20000 + "b"]
+    assert peak < 2**20
 
 
 def _power_set(l, k, p):
