@@ -144,7 +144,7 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     G = CirculantGraph(args.n, args.a, args.b)
     l = args.length
-    orbits = enumerate_orbits(G, l, k=args.bcount, budget=args.budget)
+    orbits = enumerate_orbits(G, l, k=args.bcount)
     table, write, primitive = step_table(G.a, G.b), sys.stdout.write, 0
     # json.dumps layout; ints and strings of digits and commas need no escaping.
     for start, steps, omega, repetition in orbits:
@@ -161,7 +161,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_range(args.nmax, args.lmax, budget=args.budget)
+    report = verify_range(args.nmax, args.lmax)
     print(json.dumps(report))
     return 0 if report["passed"] else 1
 
@@ -208,17 +208,11 @@ def _enumerate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--bcount", type=int, default=None)
     p.add_argument("--primitive-only", action="store_true")
-    p.add_argument("--budget", type=int, default=None,
-                   help="work budget, charged max(W, l)*n*l for W candidate words "
-                        f"(default CIRCORBITS_BUDGET or 2^{DEFAULT_BUDGET.bit_length() - 1})")
 
 
 def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help="work budget per (graph, length), charged as enumerate without --bcount "
-                        f"(default CIRCORBITS_BUDGET or 2^{DEFAULT_BUDGET.bit_length() - 1})")
 
 
 def _dot_flags(p: argparse.ArgumentParser) -> None:
@@ -247,7 +241,8 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     one, and with all of them otherwise."""
     parser = argparse.ArgumentParser(
         prog="circorbits",
-        description="Exact primitive periodic orbit counts on two-step circulant digraphs.",
+        description="Exact primitive periodic orbit counts on two-step circulant digraphs. Work is "
+                    f"bounded by CIRCORBITS_BUDGET (default 2^{DEFAULT_BUDGET.bit_length() - 1}).",
     )
     named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
     # A narrowed parser's usage line (only "unrecognized arguments" prints it)

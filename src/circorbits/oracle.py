@@ -34,9 +34,9 @@ from .counting import (
     count_orbits_lk_unreduced,
     predicted_repetition,
 )
-from .errors import BudgetExceeded, InvariantViolated, RejectedParameters
+from .errors import InvariantViolated, RejectedParameters
 from .graph import CirculantGraph
-from .words import check_lk, resolve_budget
+from .words import charge, check_lk, resolve_budget
 
 
 class Orbit(namedtuple("Orbit", "start steps omega repetition")):
@@ -89,15 +89,12 @@ def phi(G: CirculantGraph, w: str, v: int) -> Orbit:
     return Orbit(key >> l, _steps(key & ((1 << l) - 1), l), omega, repetition)
 
 
-def _charge(G: CirculantGraph, l: int, k: int | None, budget: int) -> None:
+def _charge(G: CirculantGraph, l: int, k: int | None) -> None:
     """Refuse enumerating length l (b-count k, or every b-count) above the budget."""
-    n = G.n
-    cost = l * l * n  # checked first: C(l, k) alone takes minutes for huge l
-    if cost <= budget:
-        cost = max(math.comb(l, k) if k is not None else 2**l, l) * n * l
-    if cost > budget:
-        raise BudgetExceeded(f"enumerating length {l} on C_{n}({G.a},{G.b}) costs at least "
-                             f"{cost} > budget {budget} (max(W, l)*n*l for W candidate words)")
+    what = f"enumerating length {l} on C_{G.n}({G.a},{G.b}) costs at least"
+    rule = " (max(W, l)*n*l for W candidate words)"
+    charge(l * l * G.n, what, rule)  # first: C(l, k) alone takes minutes for huge l
+    charge(max(math.comb(l, k) if k is not None else 2**l, l) * G.n * l, what, rule)
 
 
 def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tuple]:
@@ -138,8 +135,7 @@ def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tupl
             yield kk, omega, x, repetition, keys
 
 
-def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None,
-                     budget: int | None = None) -> list[Orbit]:
+def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None) -> list[Orbit]:
     """All distinct periodic orbits of length l (restricted to b-count k if given).
 
     Walks the words of each closing b-count, keeps those least among their
@@ -155,7 +151,7 @@ def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None,
     the budget still charges max(W, l) * n * l and refuses above it.
     """
     check_lk(l, 0 if k is None else k)
-    _charge(G, l, k, resolve_budget(budget))
+    _charge(G, l, k)
     mask, fmt = (1 << l) - 1, f"0{l}b"
     found = []
     for _, group in groupby(_rotation_classes(G, l, k), itemgetter(0)):
@@ -181,7 +177,7 @@ def connected_graphs(n_max: int) -> Iterator[CirculantGraph]:
                     yield G
 
 
-def verify_range(n_max: int, l_max: int, budget: int | None = None) -> dict:
+def verify_range(n_max: int, l_max: int) -> dict:
     """Cross-check formulas against enumeration on every connected graph up to n_max.
 
     For each graph and length l <= l_max it walks the rotation classes of
@@ -193,14 +189,14 @@ def verify_range(n_max: int, l_max: int, budget: int | None = None) -> dict:
     rows plus a check per orbit, failing orbits in (b-count, start, steps)
     order. Mismatches are report content; an l_max below 1 is refused.
     """
-    budget = resolve_budget(budget)
+    resolve_budget()  # a bad budget is refused before a bad l_max
     if l_max < 1:
         raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
     graphs = list(connected_graphs(n_max))
     cases, mismatches, checks = [], [], 0
     for G in graphs:
         for l in range(1, l_max + 1):
-            _charge(G, l, None, budget)
+            _charge(G, l, None)
             orbits, prim_by_k, wrong = 0, Counter(), []
             for k, _, x, repetition, keys in _rotation_classes(G, l, None):
                 orbits += len(keys)

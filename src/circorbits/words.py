@@ -1,4 +1,4 @@
-"""Binary step words over the alphabet {a, b}.
+"""Binary step words over the alphabet {a, b}, and the home of the package's one work budget.
 
 A word records the step sizes of a walk on a two-step circulant digraph:
 letter 'a' for the smaller step, 'b' for the larger one. Lexicographic
@@ -19,29 +19,31 @@ DEFAULT_BUDGET = 2**28
 _BUDGET_ENV = "CIRCORBITS_BUDGET"
 
 
-def resolve_budget(budget: int | None) -> int:
-    """The explicit budget, else CIRCORBITS_BUDGET, else DEFAULT_BUDGET; refuses values below 1."""
-    name = "budget"
-    if budget is None:
-        raw = os.environ.get(_BUDGET_ENV)
-        if raw is None:
-            return DEFAULT_BUDGET
-        name = _BUDGET_ENV
-        try:
-            budget = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+def resolve_budget() -> int:
+    """CIRCORBITS_BUDGET, else DEFAULT_BUDGET; refuses values below 1."""
+    raw = os.environ.get(_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from exc
     if budget < 1:
-        raise ValueError(f"{name} must be >= 1, got {budget}")
+        raise ValueError(f"{_BUDGET_ENV} must be >= 1, got {budget}")
     return budget
+
+
+def charge(cost: int, what: str, rule: str = "") -> None:
+    """Refuse work of this cost above the budget, as "{what} {cost} > budget {budget}{rule}"."""
+    budget = resolve_budget()
+    if cost > budget:
+        raise BudgetExceeded(f"{what} {cost} > budget {budget}{rule}")
 
 
 def _charge_binomials(l: int, k: int) -> None:
     """Refuse C(l/m, k/m) sums above the budget; min(k, l-k) * bits(l) bounds log2 C(l, k)."""
-    charge, budget = min(k, l - k) * l.bit_length(), resolve_budget(None)
-    if charge > budget:
-        raise BudgetExceeded(f"binomials of (l={l}, k={k}) charge {charge} > budget {budget} "
-                             f"(min(k, l-k) * bits(l))")
+    charge(min(k, l - k) * l.bit_length(), f"binomials of (l={l}, k={k}) charge",
+           " (min(k, l-k) * bits(l))")
 
 
 WordDecomposition = namedtuple("WordDecomposition", "root repetition")
@@ -108,12 +110,7 @@ def list_lyndon(l: int, k: int) -> list[str]:
     the output size l * count_lyndon(l, k); above the counts' budget it refuses.
     """
     check_lk(l, k)
-    budget = resolve_budget(None)
-    cost = l * count_lyndon(l, k)
-    if cost > budget:
-        raise BudgetExceeded(
-            f"generating W_2({l},{k}) costs {cost} > budget {budget}"
-        )
+    charge(l * count_lyndon(l, k), f"generating W_2({l},{k}) costs")
     if k == 0:
         return ["a"] if l == 1 else []
     if k == 1:

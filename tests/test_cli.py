@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from circorbits import (
     to_step_string,
 )
 from circorbits.cli import main
-from circorbits.words import DEFAULT_BUDGET
+from circorbits.words import DEFAULT_BUDGET, resolve_budget
 
 from brute import naive_divisors, naive_mu
 
@@ -245,12 +246,17 @@ def test_lyndon_count_ignores_steps(capsys):
 
 @pytest.mark.parametrize("command", ["enumerate", "verify"])
 def test_budget_help_names_the_default_budget(capsys, command):
+    # The top-level help names the one budget; the commands it bounds offer no flag.
     assert DEFAULT_BUDGET & (DEFAULT_BUDGET - 1) == 0
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    assert exc.value.code == 0
-    out = " ".join(capsys.readouterr().out.split())
-    assert f"(default CIRCORBITS_BUDGET or 2^{DEFAULT_BUDGET.bit_length() - 1})" in out
+    helps = []
+    for argv in (["--help"], [command, "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        helps.append(" ".join(capsys.readouterr().out.split()))
+    assert (f"Work is bounded by CIRCORBITS_BUDGET (default "
+            f"2^{DEFAULT_BUDGET.bit_length() - 1}).") in helps[0]
+    assert "budget" not in helps[1].lower()
 
 
 def test_lyndon_bad_bcount_exits_2(capsys):
@@ -390,25 +396,30 @@ def test_lyndon_list_steps_renders_through_to_step_string(capsys, steps, l, k):
     assert out.splitlines() == [to_step_string(w, *steps[1:]) for w in words]
 
 
-def test_enumerate_budget_exits_4(capsys):
+def test_enumerate_budget_exits_4(capsys, monkeypatch):
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "10")
     code, _, err = run_cli(capsys, "enumerate", "--n", "9", "--a", "1", "--b", "4",
-                           "--length", "9", "--budget", "10")
+                           "--length", "9")
     assert code == 4
     assert "budget" in err
 
 
-@pytest.mark.parametrize("argv, message", [
+@pytest.mark.parametrize("argv, env, message", [
     # one word, but presented from 5 starts in 40000 ways as 40000-bit keys
-    (("--n", "5", "--a", "1", "--b", "2", "--length", "40000", "--bcount", "0"),
+    (("--n", "5", "--a", "1", "--b", "2", "--length", "40000", "--bcount", "0"), None,
      "costs at least 8000000000 > budget 268435456"),
     # refused on l*l*n before C(10^6, 5 * 10^5), which alone takes minutes
-    (("--n", "5", "--a", "1", "--b", "2", "--length", "1000000", "--bcount", "500000"),
+    (("--n", "5", "--a", "1", "--b", "2", "--length", "1000000", "--bcount", "500000"), None,
      "costs at least 5000000000000 > budget 268435456"),
     # l*l*n = 729 fits; 2**9 words charge 512 * 9 * 9
-    (("--n", "9", "--a", "1", "--b", "4", "--length", "9", "--budget", "1000"),
+    (("--n", "9", "--a", "1", "--b", "4", "--length", "9"), "1000",
      "costs at least 41472 > budget 1000 (max(W, l)*n*l for W candidate words)"),
 ], ids=["one-long-word", "huge-binomial", "word-count"])
-def test_enumerate_budget_charge(capsys, argv, message):
+def test_enumerate_budget_charge(capsys, monkeypatch, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CIRCORBITS_BUDGET", env)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "enumerate", *argv)
     assert time.perf_counter() - start < 0.5
@@ -416,21 +427,17 @@ def test_enumerate_budget_charge(capsys, argv, message):
     assert message in err
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9", "--budget", "0"),
-     None, "budget must be >= 1, got 0"),
-    (("verify", "--nmax", "5", "--lmax", "6", "--budget", "-1"),
-     None, "budget must be >= 1, got -1"),
-    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9"),
-     "0", "CIRCORBITS_BUDGET must be >= 1, got 0"),
-], ids=["enumerate-flag", "verify-flag", "environment"])
-def test_nonpositive_budget_exits_2(capsys, monkeypatch, argv, env, message):
-    if env is not None:
-        monkeypatch.setenv("CIRCORBITS_BUDGET", env)
+@pytest.mark.parametrize("argv, env", [
+    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9"), "-1"),
+    (("verify", "--nmax", "5", "--lmax", "6"), "0"),
+    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9"), "0"),
+], ids=["enumerate-negative", "verify-zero", "environment"])
+def test_nonpositive_budget_exits_2(capsys, monkeypatch, argv, env):
+    monkeypatch.setenv("CIRCORBITS_BUDGET", env)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert message in err
+    assert f"CIRCORBITS_BUDGET must be >= 1, got {env}" in err
 
 
 # One request per refusal kind: the exit code and the whole stderr line.
@@ -446,8 +453,8 @@ def test_nonpositive_budget_exits_2(capsys, monkeypatch, argv, env, message):
      "CIRCORBITS_BUDGET must be an integer, got 'abc'"),
     (("count", "--n", "12", "--a", "2", "--b", "4", "--length", "6"), None, 3,
      "C_12(2,4) is disconnected: gcd(12,2,4) = 2 != 1"),
-    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9", "--budget", "10"),
-     None, 4, "enumerating length 9 on C_9(1,4) costs at least 729 > budget 10 "
+    (("enumerate", "--n", "9", "--a", "1", "--b", "4", "--length", "9"),
+     "10", 4, "enumerating length 9 on C_9(1,4) costs at least 729 > budget 10 "
               "(max(W, l)*n*l for W candidate words)"),
     # a wrong binomial makes 21 * C / 15 non-integral
     (("count", "--n", "21", "--a", "4", "--b", "10", "--length", "15", "--bcount", "4"),
@@ -486,15 +493,44 @@ def test_verify_lmax_below_1_exits_2(capsys, lmax):
     assert f"l_max must be >= 1, got {lmax}" in err
 
 
-def test_verify_budget_exits_4_with_the_enumeration_message(capsys):
+def test_verify_budget_exits_4_with_the_enumeration_message(capsys, monkeypatch):
     # C_3(1,2) is swept first; at length 12 it is charged 2**12 * 3 * 12 = 147456
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "100000")
     with pytest.raises(BudgetExceeded) as excinfo:
-        enumerate_orbits(CirculantGraph(3, 1, 2), 12, budget=100000)
-    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--lmax", "12",
-                             "--budget", "100000")
+        enumerate_orbits(CirculantGraph(3, 1, 2), 12)
+    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--lmax", "12")
     assert (code, out) == (4, "")
     assert err == f"error: {excinfo.value}\n"
     assert "enumerating length 12 on C_3(1,2) costs at least 147456 > budget 100000" in err
+
+
+@pytest.mark.parametrize("command", [
+    "enumerate --n 9 --a 1 --b 4 --length 9", "verify --nmax 4 --lmax 12"])
+def test_budget_flag_is_a_usage_error(capsys, command):
+    argv = f"{command} --budget 10".split()
+    results = []
+    for call in (main, lambda a: cli.build_parser().parse_args(a)):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+        results.append((exc.value.code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: circorbits ")
+    assert err.endswith("error: unrecognized arguments: --budget 10\n")
+
+
+def test_verify_enumeration_and_formulas_read_one_budget(capsys, monkeypatch):
+    # The sweep's first refusal is enumeration's: C_3(1,2) at length 2 is
+    # charged max(2**2, 2) * 3 * 2 = 24. A formula check reading its own
+    # budget would first be refused at (l=12, k=6), charged 6 * bits(12) = 24.
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "20")
+    assert run_cli(capsys, "verify", "--nmax", "4", "--lmax", "12") == (
+        4, "", "error: enumerating length 2 on C_3(1,2) costs at least 24 > budget 20 "
+               "(max(W, l)*n*l for W candidate words)\n")
+    for f in (enumerate_orbits, oracle.verify_range, list_lyndon):
+        assert "budget" not in inspect.signature(f).parameters
+    assert not inspect.signature(resolve_budget).parameters
 
 
 def test_verify_failure_report_is_unchanged(capsys, monkeypatch):
@@ -665,8 +701,8 @@ _GRAMMAR = {
     ("lyndon", "list"): ((_flag("--length"), _flag("--bcount")),
                          (_flag("--steps", _STEPS),)),
     ("enumerate",): ((_GRAPH, _flag("--length")), (
-        _flag("--bcount"), st.just(["--primitive-only"]), _flag("--budget"))),
-    ("verify",): ((_flag("--nmax"), _flag("--lmax")), (_flag("--budget"),)),
+        _flag("--bcount"), st.just(["--primitive-only"]))),
+    ("verify",): ((_flag("--nmax"), _flag("--lmax")), ()),
     ("graph",): ((_flag("--n"), _flag("--steps", _STEPS)), ()),
 }
 
@@ -697,16 +733,17 @@ def _full_parse(argv):
             return exc.code, err.getvalue()
 
 
-# No deadline: under this budget verify --nmax 12 --lmax 12 runs in full, in
-# about 0.7 s.
+# No deadline: under the largest budget drawn, 10**6, verify --nmax 12 --lmax 12
+# runs in full, in about 0.7 s. The others are invalid (exit 2 wherever a
+# budget is read) or small enough to refuse some requests (exit 4).
 @settings(max_examples=500, deadline=None)
-@given(_small_argv())
-def test_every_small_request_is_answered_or_refused(argv):
+@given(_small_argv(), st.sampled_from(["abc", "0", "10", "1000", str(10**6)]))
+def test_every_small_request_is_answered_or_refused(argv, budget):
     full = _full_parse(argv)
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        mp.setenv("CIRCORBITS_BUDGET", str(10**6))
+        mp.setenv("CIRCORBITS_BUDGET", budget)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own usage error, byte for byte the full parser's

@@ -120,11 +120,13 @@ def test_enumerate_dedup_soundness():
             assert phi(G, rotated, path[s]) == o
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     G = CirculantGraph(9, 1, 4)
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        enumerate_orbits(G, 9, budget=100)
-    assert len(enumerate_orbits(G, 9, 3, budget=10**6)) == 84
+        enumerate_orbits(G, 9)
+    monkeypatch.setenv("CIRCORBITS_BUDGET", str(10**6))
+    assert len(enumerate_orbits(G, 9, 3)) == 84
 
 
 def test_enumerate_validates_arguments():
@@ -199,8 +201,9 @@ def test_verify_range_refuses_l_max_below_1(monkeypatch, l_max):
     with pytest.raises(RejectedParameters, match=f"l_max must be >= 1, got {l_max}"):
         verify_range(5, l_max)
     # the budget is resolved first
-    with pytest.raises(ValueError, match="budget must be >= 1"):
-        verify_range(5, l_max, budget=0)
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "0")
+    with pytest.raises(ValueError, match="CIRCORBITS_BUDGET must be >= 1"):
+        verify_range(5, l_max)
 
 
 def test_verify_range_covers_the_84_class():
