@@ -15,11 +15,11 @@ built here, except `oracle.verify_range`'s report (a dict with decimal-string
 counts) and `graph.dot_graph`'s DOT text. Counts inside JSON are decimal
 strings so consumers are not limited to 53-bit integers.
 
-Each call builds one parser, with the subcommand it names and no other:
-building all six takes three to four times as long as building one, and for
-a small count that is most of the call. That parser's usage line lists all
-six, and an argv that names no subcommand (help, none, an unknown one) gets
-the full parser, so every help text and usage error is the full parser's.
+A call whose first word names a subcommand is parsed by that subcommand's
+parser alone, built as the full parser builds it, so its help and usage errors
+are the full parser's: building all six takes several times as long, and for a
+small count that is most of the call. Top-level help, no or an unknown command
+and left-over arguments go to the full parser, built only off the hot path.
 """
 
 from __future__ import annotations
@@ -236,30 +236,39 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The CLI parser: with only the subcommand `argv[0]` names, when it names
-    one, and with all of them otherwise."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser, with all six subcommands. `main` builds it only for
+    an argv that a single subcommand's parser does not parse whole."""
     parser = argparse.ArgumentParser(
         prog="circorbits",
         description="Exact primitive periodic orbit counts on two-step circulant digraphs. Work is "
                     f"bounded by CIRCORBITS_BUDGET (default 2^{DEFAULT_BUDGET.bit_length() - 1}).",
     )
-    named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
-    # A narrowed parser's usage line (only "unrecognized arguments" prints it)
-    # lists all six; the full one's errors name the argument "command".
-    metavar = "{" + ",".join(c[0] for c in _COMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_, add_flags, func in named or _COMMANDS:
-        p = sub.add_parser(name, help=help_)
-        add_flags(p)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_, add_flags, func in _COMMANDS:
+        add_flags(p := sub.add_parser(name, help=help_))
         p.set_defaults(func=func)
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace `main` runs: from `argv[0]`'s subcommand parser alone when it
+    parses all of `argv[1:]`, else from the full parser (help or a usage error)."""
+    for name, _, add_flags, func in _COMMANDS:
+        if argv and argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"circorbits {name}")
+            add_flags(parser)
+            parser.set_defaults(command=name, func=func)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     # Counts are printed in full, however many digits they have: lift
     # CPython's int/str digit limit while the command runs, and restore
     # the caller's value afterwards.

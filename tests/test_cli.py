@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -643,6 +644,13 @@ _USAGE_ARGV = [
     "", "bogus", "coun", "-h count", "count --n x", f"{_COUNT} extra", f"{_COUNT} --method x",
     "lyndon bad --length 5 --bcount 2", "graph --n 5 --steps -1,2",
     "verify --nmax 4 --lmax 2 graph",
+    # Forms where a subcommand's own parser could part from the nested one:
+    # an option before lyndon's positional, abbreviated, `=`-joined and
+    # repeated flags, a `--`, a trailing -h, a missing flag with a stray token.
+    "lyndon --length 5 count --bcount x", "count --len 15 --n 21 --a 4 --b 10 --meth x",
+    "count --n=21 --a 4 --b 10 --length 15 extra", f"{_COUNT} --length 16 --length x",
+    f"{_COUNT} -- 7", "lyndon --length 5 --bcount 2 -- count extra", f"{_COUNT} -h",
+    "count extra",
 ]
 
 
@@ -659,19 +667,36 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv, 
     assert results[0][0] == (0 if {"-h", "--help"} & set(argv.split()) else 2)
 
 
-@pytest.mark.parametrize("argv", [_COUNT, f"{_COUNT} extra", "-h", "bogus"])
-def test_each_call_builds_one_parser(capsys, monkeypatch, argv):
-    build, builds = cli.build_parser, []
+_FULL = ["circorbits", *(f"circorbits {c[0]}" for c in cli._COMMANDS)]
 
-    def counted(*args):
-        builds.append(args)
-        return build(*args)
 
-    monkeypatch.setattr(cli, "build_parser", counted)
+_BUILDS = {
+    _COUNT: ["circorbits count"],
+    "lattice --n 21 --a 4 --b 10 --lmax 15": ["circorbits lattice"],
+    "lyndon count --length 9 --bcount 3": ["circorbits lyndon"],
+    "enumerate --n 9 --a 1 --b 4 --length 5": ["circorbits enumerate"],
+    "verify --nmax 3 --lmax 3": ["circorbits verify"],
+    "graph --n 5 --steps 1,4": ["circorbits graph"],
+    "-h": _FULL, "bogus": _FULL, f"{_COUNT} extra": ["circorbits count", *_FULL],
+}
+
+
+@pytest.mark.parametrize("argv, progs", _BUILDS.items(), ids=list(_BUILDS))
+def test_each_call_constructs_the_parsers_it_needs(capsys, monkeypatch, argv, progs):
+    # The prog of every ArgumentParser constructed: a call a subcommand's own
+    # parser parses whole builds only that; the full parser is built only for
+    # help, an unknown command and left-over arguments.
+    init, built = argparse.ArgumentParser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     with contextlib.suppress(SystemExit):
         main(argv.split())
     capsys.readouterr()
-    assert len(builds) == 1
+    assert built == progs
 
 
 _INT =st.integers(-2, 12).map(str)
@@ -750,7 +775,7 @@ def test_every_small_request_is_answered_or_refused(argv, budget):
             assert (exc.code, err.getvalue()) == full
             assert exc.code == 2
             return
-    assert vars(cli.build_parser(argv).parse_args(argv)) == full
+    assert vars(cli._parse(argv)) == full
     if code == 0:
         assert err.getvalue() == ""
     else:

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from circorbits import cli
 from circorbits.cli import build_parser, main
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -82,10 +83,22 @@ def test_cli_output_is_unchanged(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv", [g[1] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+# Forms where a subcommand's own parser could part from the nested one: an
+# option before lyndon's positional, abbreviated, `=`-joined and repeated
+# flags, and a `--`.
+_FORMS = [
+    "lyndon --length 5 count --bcount 2", "count --len 15 --n 21 --a 4 --b 10",
+    "count --n=21 --a 4 --b 10 --length 15", "count --n 21 --a 4 --b 10 --length 9 --length 15",
+    "lyndon --length 5 --bcount 2 -- count", "lyndon --length 9 list --bcount 3",
+]
+
+
+@pytest.mark.parametrize("argv", [g[1] for g in GOLDEN] + _FORMS,
+                         ids=[g[0] for g in GOLDEN] + _FORMS)
 def test_narrowed_parser_parses_as_the_full_one(argv):
+    # The namespace main runs, command and handler included, is the full parser's.
     argv = argv.split()
-    assert vars(build_parser(argv).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
