@@ -668,8 +668,6 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv, 
 
 
 _FULL = ["circorbits", *(f"circorbits {c[0]}" for c in cli._COMMANDS)]
-
-
 _BUILDS = {
     _COUNT: ["circorbits count"],
     "lattice --n 21 --a 4 --b 10 --lmax 15": ["circorbits lattice"],
@@ -685,7 +683,7 @@ _BUILDS = {
 def test_each_call_constructs_the_parsers_it_needs(capsys, monkeypatch, argv, progs):
     # The prog of every ArgumentParser constructed: a call a subcommand's own
     # parser parses whole builds only that; the full parser is built only for
-    # help, an unknown command and left-over arguments.
+    # top-level help, an unknown command and left-over arguments.
     init, built = argparse.ArgumentParser.__init__, []
 
     def counted(self, *args, **kwargs):
