@@ -569,6 +569,34 @@ def test_verify_failure_report_is_unchanged(capsys, monkeypatch):
         "eaa104054259472ff5548443e44d667c9717a3ee301bcc9eed452e010816c3ec")
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_failure_report_is_unchanged_in_every_share_count(capsys, monkeypatch,
+                                                                 shares, k):
+    shares.force(k)
+    test_verify_failure_report_is_unchanged(capsys, monkeypatch)
+    assert len(shares.forked) == k - 1
+    shares.assert_reaped()
+
+
+# Lengths 1..8 of C_3(1,2), graph 0, are charged at most 2**8 * 3 * 8 = 6144;
+# graph 1, C_4(1,2), is charged 2**8 * 4 * 8 = 8192 at length 8.
+@pytest.mark.parametrize("budget, first", [
+    ("7000", "C_4(1,2) costs at least 8192 > budget 7000"),
+    ("5000", "C_3(1,2) costs at least 6144 > budget 5000"),
+], ids=["in-a-worker-share", "in-share-0"])
+def test_verify_refusal_is_the_first_in_sweep_order(capsys, monkeypatch, shares,
+                                                    budget, first):
+    monkeypatch.setenv("CIRCORBITS_BUDGET", budget)
+    results = set()
+    for k in (1, 2, 3):
+        shares.force(k)
+        results.add(run_cli(capsys, "verify", "--nmax", "6", "--lmax", "8"))
+        assert len(shares.forked) == k - 1
+        shares.assert_reaped()
+    assert results == {(4, "", f"error: enumerating length 8 on {first} "
+                                "(max(W, l)*n*l for W candidate words)\n")}
+
+
 def test_graph_dot(capsys):
     code, out, _ = run_cli(capsys, "graph", "--n", "5", "--steps", "1,4")
     assert code == 0

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import pickle
+import threading
+import time
 from itertools import combinations
 
 import pytest
@@ -297,3 +302,79 @@ def test_verify_case_orbits_match_enumeration():
     for case in report["case_results"]:
         G = graphs[case["n"], case["a"], case["b"]]
         assert case["orbits"] == len(enumerate_orbits(G, case["l"])), case
+
+
+@pytest.mark.parametrize("n_max, l_max, graphs", [(9, 9, 79), (3, 7, 1), (2, 5, 0)])
+def test_verify_report_is_the_same_in_every_share_count(shares, n_max, l_max, graphs):
+    reports = set()
+    for k in (1, 2, 3):
+        shares.force(k)
+        reports.add(json.dumps(verify_range(n_max, l_max)))
+        assert len(shares.forked) == max(min(k, graphs) - 1, 0)  # no share is empty
+        shares.assert_reaped()
+    assert len(reports) == 1
+    assert json.loads(reports.pop())["graphs"] == graphs
+
+
+@pytest.mark.parametrize("failure", ["unpicklable", "fork"])
+def test_share_without_a_worker_result_is_swept_here(shares, monkeypatch, failure):
+    expected = verify_range(6, 5)
+    shares.force(3)
+    if failure == "unpicklable":
+        def dumps(obj):
+            raise pickle.PicklingError("no")
+
+        monkeypatch.setattr(pickle, "dumps", dumps)
+    else:  # the second fork fails as it does when the process limit is reached
+        fork = os.fork
+
+        def once():
+            if shares.forked:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", once)
+    assert verify_range(6, 5) == expected
+    assert len(shares.forked) == (2 if failure == "unpicklable" else 1)
+    shares.assert_reaped()
+
+
+@pytest.mark.parametrize("host", ["threads", "no-fork", "below-break-even"])
+def test_sweep_stays_in_process(shares, monkeypatch, host):
+    expected, break_even = verify_range(6, 5), oracle._FORK_MIN_WORK
+    shares.force(2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if host == "threads":  # fork would copy this thread's locks, not the thread
+        thread.start()
+    elif host == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:  # the sweep's 19 graphs at lengths 1..5 are estimated at 25542
+        monkeypatch.setattr(oracle, "_FORK_MIN_WORK", break_even)
+    try:
+        assert verify_range(6, 5) == expected
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert shares.forked == []
+    shares.assert_reaped()
+
+
+def test_interrupted_parent_kills_and_reaps_its_workers(shares, monkeypatch):
+    parent = os.getpid()
+
+    def check_graph(G, l_max):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    shares.force(3)
+    monkeypatch.setattr(oracle, "_check_graph", check_graph)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify_range(5, 5)
+    assert time.perf_counter() - start < 30
+    assert len(shares.forked) == 2
+    shares.assert_reaped()

@@ -105,7 +105,7 @@ def test_cold_import_of_the_cli_skips_heavy_stdlib_modules():
     # -S keeps site-packages .pth files from importing these modules first
     # and so hiding a regression in the package's own imports.
     src = Path(circorbits.__file__).resolve().parents[1]
-    heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "typing", "pickle")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, circorbits.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"],
