@@ -19,12 +19,15 @@ verify_range sweeps every connected two-step circulant graph up to a
 size bound and cross-checks the formula counts, the reduced/unreduced
 agreement and the repetition-number law against enumeration.
 
-Its graphs are independent, so a large sweep is dealt round-robin to one
-process per usable CPU (os.sched_getaffinity, which taskset restricts):
-share 0 runs in this process, the others in forked children that pickle
-their results back. Small sweeps, single-CPU hosts, hosts without fork
-and multi-threaded callers sweep in this process alone. The report, and
-which refusal is raised, do not depend on the number of processes.
+The sweep is charged in full before any case runs or any process forks,
+each (graph, length) as enumerate_orbits charges it, and the sum of those
+charges is its work. Its graphs are independent, so a sweep of large work
+is dealt round-robin to one process per usable CPU (os.sched_getaffinity,
+which taskset restricts): share 0 runs in this process, the others in
+forked children that pickle their results back. Small sweeps, single-CPU
+hosts, hosts without fork and multi-threaded callers sweep in this
+process alone, as does any sweep whose fan-out fails. The report does not
+depend on the number of processes.
 Instrumentation of calls made inside the children (the bench tracer's
 per-layer spans) is not seen by the caller.
 """
@@ -35,7 +38,7 @@ import math
 import os
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 from operator import itemgetter
 
 from .counting import (
@@ -191,7 +194,6 @@ def _check_graph(G: CirculantGraph, l_max: int) -> tuple[list, list, int]:
     """(case results, mismatch entries, checks) of one graph at lengths 1..l_max."""
     cases, mismatches, checks = [], [], 0
     for l in range(1, l_max + 1):
-        _charge(G, l, None)
         orbits, prim_by_k, wrong = 0, Counter(), []
         for k, _, x, repetition, keys in _rotation_classes(G, l, None):
             orbits += len(keys)
@@ -225,34 +227,20 @@ def _check_graph(G: CirculantGraph, l_max: int) -> tuple[list, list, int]:
     return cases, mismatches, checks
 
 
-def _check_share(graphs: list[CirculantGraph], l_max: int) -> tuple[list, Exception | None]:
-    """_check_graph of each graph in order up to the first exception, and that exception."""
-    done = []
-    try:
-        for G in graphs:
-            done.append(_check_graph(G, l_max))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
-# A sweep forks only when its estimated enumeration work, the sum of its
-# per-case charges max(2^l, l)*n*l, is above this. A fork and join costs
-# about 2 ms. Two processes against one on a 2-vCPU host, CPython 3.11.7,
+# A sweep forks only when its work, the sum of the charges verify_range
+# makes for its cases, max(2^l, l)*n*l each, is above this. A fork and join
+# costs about 2 ms. Two processes against one on a 2-vCPU host, CPython 3.11.7,
 # medians of 11 interleaved runs: every sweep under 3e4 lost ((5,5) 4.9 ->
 # 6.4 ms), (5,7) at 6.9e4 drew (8.6 vs 8.3 ms, 6 wins of 11), and from
 # 1.5e5 every sweep won ((9,5) 25.3 -> 18.3 ms, (8,8) 48.4 -> 31.8 ms).
 _FORK_MIN_WORK = 100_000
 
 
-def _shares(graphs: list[CirculantGraph], l_max: int) -> int:
+def _shares(graphs: list[CirculantGraph], work: int) -> int:
     """Processes to sweep graphs in: one per usable CPU when forking pays and is safe, else 1."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     shares = min(len(os.sched_getaffinity(0)), len(graphs))
-    # 2^l > l; l is capped because 1 << l_max cannot be built for a huge l_max,
-    # and at l = 64 the sum is far past the break-even already.
-    work = sum(G.n for G in graphs) * sum(l << l for l in range(1, min(l_max, 64) + 1))
     if shares < 2 or work <= _FORK_MIN_WORK:
         return 1
     try:  # fork copies one thread only, and the locks others may hold
@@ -261,57 +249,51 @@ def _shares(graphs: list[CirculantGraph], l_max: int) -> int:
         return 1
 
 
-def _sweep(graphs: list[CirculantGraph], l_max: int) -> list[tuple[list, list, int]]:
+def _sweep(graphs: list[CirculantGraph], l_max: int, work: int) -> list[tuple[list, list, int]]:
     """_check_graph of every graph, in order; raises the first exception in sweep order.
 
     Share j of the graphs is graphs[j::shares]. Share 0 runs here; every
-    other share runs in a forked child, which pickles its _check_share
-    outcome into a pipe and always leaves through os._exit; a share whose
-    child could not be forked or delivered nothing is swept here. A share that
-    stopped at an exception has passed every earlier graph of its own, so
-    the failing graph with the least index is the first in sweep order.
+    other share runs in a forked child, which pickles its results into a
+    pipe and always leaves through os._exit. If a child could not be
+    forked, raised or delivered nothing, or share 0 raised, the children
+    are killed and the whole sweep runs again in this process alone.
     """
-    shares, workers = _shares(graphs, l_max), []
-    try:
-        if shares > 1:
-            import pickle
-            import signal
-        for j in range(1, shares):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the shares left are swept here
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
+    shares, workers = _shares(graphs, work), []
+    if shares > 1:
+        import pickle
+        import signal
+        try:
+            for j in range(1, shares):
+                r, w = os.pipe()
                 try:
+                    pid = os.fork()
+                except OSError:  # no process to spare
                     os.close(r)
-                    data = pickle.dumps(_check_share(graphs[j::shares], l_max))
-                    with open(w, "wb") as pipe:
-                        pipe.write(data)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            workers.append((pid, open(r, "rb")))
-        outcomes = [_check_share(graphs[0::shares], l_max)]
-        for j in range(1, shares):
-            # A child that died or could not pickle its outcome wrote nothing.
-            data = workers[j - 1][1].read() if j <= len(workers) else b""
-            outcomes.append(pickle.loads(data) if data else
-                            _check_share(graphs[j::shares], l_max))
-    except BaseException:
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.waitpid(pid, 0)
-    failed = [(len(done) * shares + j, exc) for j, (done, exc) in enumerate(outcomes) if exc]
-    if failed:
-        raise min(failed, key=itemgetter(0))[1]
-    return [outcomes[i % shares][0][i // shares] for i in range(len(graphs))]
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    try:
+                        os.close(r)
+                        data = pickle.dumps([_check_graph(G, l_max) for G in graphs[j::shares]])
+                        with open(w, "wb") as pipe:
+                            pipe.write(data)
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                workers.append((pid, open(r, "rb")))
+            dealt = [[_check_graph(G, l_max) for G in graphs[0::shares]]]
+            dealt += [pickle.loads(pipe.read()) for _, pipe in workers]
+            return [dealt[i % shares][i // shares] for i in range(len(graphs))]
+        except BaseException as exc:
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+            if not isinstance(exc, Exception):  # an interrupt is not swept again
+                raise
+        finally:
+            for pid, pipe in workers:
+                pipe.close()
+                os.waitpid(pid, 0)
+    return [_check_graph(G, l_max) for G in graphs]
 
 
 def verify_range(n_max: int, l_max: int) -> dict:
@@ -325,15 +307,27 @@ def verify_range(n_max: int, l_max: int) -> dict:
     least word). A case is one table of (kind, k or None, expected, actual)
     rows plus a check per orbit, failing orbits in (b-count, start, steps)
     order. Mismatches are report content; an l_max below 1 is refused.
-    Large sweeps run on every usable CPU (module docstring); the report
-    and any refusal are those of a sweep in this process.
+
+    The whole sweep is charged before any case runs or any process forks:
+    each case as enumerate_orbits charges it, max(2^l, l)*n*l = n*l << l,
+    so the refusal is that of the first case in sweep order over the
+    budget. A case's formula checks charge at most l*l/2, below the l*l*n
+    charged first for its enumeration, so none refuses later. The sum of
+    the charges is the work that decides whether large sweeps run on every
+    usable CPU (module docstring); the report is that of one process.
     """
-    resolve_budget()  # a bad budget is refused before a bad l_max
+    budget = resolve_budget()  # a bad budget is refused before a bad l_max
     if l_max < 1:
         raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
     graphs = list(connected_graphs(n_max))
+    work = 0
+    for G, l in product(graphs, range(1, l_max + 1)):  # in sweep order
+        cost = G.n * l << l
+        if cost > budget:
+            _charge(G, l, None)
+        work += cost
     cases, mismatches, checks = [], [], 0
-    for graph_cases, graph_mismatches, graph_checks in _sweep(graphs, l_max):
+    for graph_cases, graph_mismatches, graph_checks in _sweep(graphs, l_max, work):
         cases += graph_cases
         mismatches += graph_mismatches
         checks += graph_checks

@@ -579,7 +579,9 @@ def test_verify_failure_report_is_unchanged_in_every_share_count(capsys, monkeyp
 
 
 # Lengths 1..8 of C_3(1,2), graph 0, are charged at most 2**8 * 3 * 8 = 6144;
-# graph 1, C_4(1,2), is charged 2**8 * 4 * 8 = 8192 at length 8.
+# graph 1, C_4(1,2), is charged 2**8 * 4 * 8 = 8192 at length 8. The ids name
+# the share the refused graph would be swept in; the sweep is charged in full
+# before any case runs, so a refused sweep checks no graph and forks nothing.
 @pytest.mark.parametrize("budget, first", [
     ("7000", "C_4(1,2) costs at least 8192 > budget 7000"),
     ("5000", "C_3(1,2) costs at least 6144 > budget 5000"),
@@ -587,11 +589,16 @@ def test_verify_failure_report_is_unchanged_in_every_share_count(capsys, monkeyp
 def test_verify_refusal_is_the_first_in_sweep_order(capsys, monkeypatch, shares,
                                                     budget, first):
     monkeypatch.setenv("CIRCORBITS_BUDGET", budget)
+
+    def check_graph(G, l_max):
+        raise AssertionError(f"C_{G.n}({G.a},{G.b}) checked in a refused sweep")
+
+    monkeypatch.setattr(oracle, "_check_graph", check_graph)
     results = set()
     for k in (1, 2, 3):
         shares.force(k)
         results.add(run_cli(capsys, "verify", "--nmax", "6", "--lmax", "8"))
-        assert len(shares.forked) == k - 1
+        assert len(shares.forked) == 0
         shares.assert_reaped()
     assert results == {(4, "", f"error: enumerating length 8 on {first} "
                                 "(max(W, l)*n*l for W candidate words)\n")}

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from circorbits import (
     BudgetExceeded,
     CirculantGraph,
+    InvariantViolated,
     NotLatticePoint,
     RejectedParameters,
     bcounts_for_length,
@@ -349,7 +350,7 @@ def test_sweep_stays_in_process(shares, monkeypatch, host):
         thread.start()
     elif host == "no-fork":
         monkeypatch.delattr(os, "fork")
-    else:  # the sweep's 19 graphs at lengths 1..5 are estimated at 25542
+    else:  # the sweep's 19 graphs at lengths 1..5 are charged 25542 in all
         monkeypatch.setattr(oracle, "_FORK_MIN_WORK", break_even)
     try:
         assert verify_range(6, 5) == expected
@@ -360,6 +361,69 @@ def test_sweep_stays_in_process(shares, monkeypatch, host):
     assert not thread.is_alive()
     assert shares.forked == []
     shares.assert_reaped()
+
+
+# Of the 19 graphs of verify_range(6, 8), 3 and 4 lie in shares 1 and 0 of
+# two and in shares 0 and 1 of three; 5 and 7 lie in worker shares only.
+@pytest.mark.parametrize("failing", [(3, 4), (5, 7)], ids=["share-0", "workers"])
+def test_first_exception_in_sweep_order_is_raised_from_any_share(shares, monkeypatch,
+                                                                failing):
+    graphs = list(connected_graphs(6))
+    names = {graphs[i]: f"graph {i}" for i in failing}
+    check = oracle._check_graph
+
+    def check_graph(G, l_max):
+        if G in names:
+            raise InvariantViolated(names[G])
+        return check(G, l_max)
+
+    monkeypatch.setattr(oracle, "_check_graph", check_graph)
+    for k in (1, 2, 3):
+        shares.force(k)
+        with pytest.raises(InvariantViolated, match=f"^graph {failing[0]}$"):
+            verify_range(6, 8)
+        assert len(shares.forked) == k - 1
+        shares.assert_reaped()
+
+
+def test_fork_work_is_the_sum_of_the_case_charges(monkeypatch):
+    work = []
+    monkeypatch.setattr(oracle, "_shares", lambda graphs, w: work.append(w) or 1)
+    monkeypatch.setattr(oracle, "_check_graph", lambda G, l_max: ([], [], 0))
+    # the brute-force workload's verify requests, then the sweep of test_sweep_stays_in_process
+    sweeps = [(n_max, l_max) for n_max in range(5, 10) for l_max in range(7, 12)] + [(6, 5)]
+    for n_max, l_max in sweeps:
+        verify_range(n_max, l_max)
+    assert work == [sum(G.n for G in connected_graphs(n_max)) *
+                    sum(l << l for l in range(1, l_max + 1)) for n_max, l_max in sweeps]
+    assert work[-1] == 25542
+    assert [s for s, w in zip(sweeps[:-1], work) if w <= oracle._FORK_MIN_WORK] == [(5, 7)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.integers(0, 8), st.integers(1, 14))
+def test_verify_refuses_the_first_case_enumeration_refuses(budget, n_max, l_max):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CIRCORBITS_BUDGET", str(budget))
+        # only the charges run: no case is enumerated or checked
+        mp.setattr(oracle, "_rotation_classes", lambda G, l, k: iter(()))
+        mp.setattr(oracle, "_sweep", lambda graphs, l_max, work: [])
+        first = None
+        for G in connected_graphs(n_max):
+            for l in range(1, l_max + 1):
+                try:
+                    enumerate_orbits(G, l)
+                except BudgetExceeded as exc:
+                    first = str(exc)
+                    break
+            if first:
+                break
+        if first is None:
+            assert verify_range(n_max, l_max)["passed"]
+        else:
+            with pytest.raises(BudgetExceeded) as refused:
+                verify_range(n_max, l_max)
+            assert str(refused.value) == first
 
 
 def test_interrupted_parent_kills_and_reaps_its_workers(shares, monkeypatch):
