@@ -38,7 +38,7 @@ import math
 import os
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
 from operator import itemgetter
 
 from .counting import (
@@ -102,12 +102,17 @@ def phi(G: CirculantGraph, w: str, v: int) -> Orbit:
     return Orbit(key >> l, _steps(key & ((1 << l) - 1), l), omega, repetition)
 
 
+def _enum_cost(G: CirculantGraph, l: int, k: int | None) -> int:
+    """The charge for enumerating length l (b-count k, or every b-count): max(W, l)*n*l."""
+    return max(math.comb(l, k) if k is not None else 1 << l, l) * G.n * l
+
+
 def _charge(G: CirculantGraph, l: int, k: int | None) -> None:
     """Refuse enumerating length l (b-count k, or every b-count) above the budget."""
     what = f"enumerating length {l} on C_{G.n}({G.a},{G.b}) costs at least"
     rule = " (max(W, l)*n*l for W candidate words)"
     charge(l * l * G.n, what, rule)  # first: C(l, k) alone takes minutes for huge l
-    charge(max(math.comb(l, k) if k is not None else 2**l, l) * G.n * l, what, rule)
+    charge(_enum_cost(G, l, k), what, rule)
 
 
 def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tuple]:
@@ -321,11 +326,11 @@ def verify_range(n_max: int, l_max: int) -> dict:
         raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
     graphs = list(connected_graphs(n_max))
     work = 0
-    for G, l in product(graphs, range(1, l_max + 1)):  # in sweep order
-        cost = G.n * l << l
-        if cost > budget:
-            _charge(G, l, None)
-        work += cost
+    for G in graphs:  # in sweep order; range is lazy, so a huge l_max refuses early
+        for l in range(1, l_max + 1):
+            if (cost := _enum_cost(G, l, None)) > budget:
+                _charge(G, l, None)
+            work += cost
     cases, mismatches, checks = [], [], 0
     for graph_cases, graph_mismatches, graph_checks in _sweep(graphs, l_max, work):
         cases += graph_cases

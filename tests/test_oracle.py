@@ -212,6 +212,16 @@ def test_verify_range_refuses_l_max_below_1(monkeypatch, l_max):
         verify_range(5, l_max)
 
 
+def test_verify_range_with_a_huge_l_max_refuses_or_ends_at_once(monkeypatch):
+    monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^enumerating length 22 on C_3\(1,2\) costs "
+                       r"at least 276824064 > budget 268435456 "):
+        verify_range(3, 10**12)
+    assert verify_range(2, 10**12)["graphs"] == 0
+    assert time.perf_counter() - started < 5  # the lengths are not listed up front
+
+
 def test_verify_range_covers_the_84_class():
     report = verify_range(9, 9)
     assert report["passed"]
