@@ -39,7 +39,7 @@ from .counting import (
 from .errors import CircorbitsError, InvariantViolated
 from .graph import CirculantGraph, dot_graph
 from .lattice import basis, lattice_points, skipped_windings
-from .oracle import enumerate_orbits, verify_range
+from .oracle import _orbit_groups, verify_range
 from .words import DEFAULT_BUDGET, count_lyndon, list_lyndon, step_table
 
 
@@ -143,20 +143,23 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     G = CirculantGraph(args.n, args.a, args.b)
-    l = args.length
-    orbits = enumerate_orbits(G, l, k=args.bcount)
-    table, write, primitive = step_table(G.a, G.b), sys.stdout.write, 0
-    # json.dumps layout; ints and strings of digits and commas need no escaping.
-    for start, steps, omega, repetition in orbits:
-        if repetition == 1:
-            primitive += 1
-        elif args.primitive_only:
-            continue
-        write(f'{{"start": {start}, "steps": "{steps.translate(table).removesuffix(",")}", '
-              f'"l": {l}, "k": {steps.count("b")}, "omega": {omega}, '
-              f'"repetition": {repetition}}}\n')
-    print(json.dumps({"orbits": len(orbits), "primitive": primitive,
-                      "nonprimitive": len(orbits) - primitive}))
+    l, write, orbits, primitive = args.length, sys.stdout.write, 0, 0
+    table = step_table(G.a, G.b)
+    bits = {ord("0"): table[ord("a")], ord("1"): table[ord("b")]}  # a word as bits, a = 0
+    # Lines are written per b-count from the canonical keys (start << l) | word,
+    # in json.dumps layout; ints and strings of digits and commas need no escaping.
+    for k, omega, keys, repeated in _orbit_groups(G, l, args.bcount):
+        mask, fmt = (1 << l) - 1, f"0{l}b"
+        tail = f'", "l": {l}, "k": {k}, "omega": {omega}, "repetition": '
+        orbits += len(keys)
+        primitive += len(keys) - len(repeated)
+        if args.primitive_only and repeated:
+            keys = [key for key in keys if key not in repeated]
+        write("".join([f'{{"start": {key >> l}, "steps": '
+                       f'"{format(key & mask, fmt).translate(bits).removesuffix(",")}'
+                       f'{tail}{repeated.get(key, 1)}}}\n' for key in keys]))
+    print(json.dumps({"orbits": orbits, "primitive": primitive,
+                      "nonprimitive": orbits - primitive}))
     return 0
 
 

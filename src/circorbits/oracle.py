@@ -15,19 +15,24 @@ and best[r] is the least rotation reached at r. With residues 0 = r_0 <
 ... < r_m and r_{-1} = r_m - n, the starts whose least vertex u comes from
 r_j have u in range(r_j - r_{j-1}); x's orbits are {(u << l) | best[r_j]}.
 
+_orbit_groups gives the sorted keys of one closing b-count at a time;
+enumerate_orbits turns them into Orbit values, and the CLI writes its
+lines from the keys themselves, one b-count at a time.
+
 verify_range sweeps every connected two-step circulant graph up to a
 size bound and cross-checks the formula counts, the reduced/unreduced
 agreement and the repetition-number law against enumeration.
 
 The sweep is charged in full before any case runs or any process forks,
-each (graph, length) as enumerate_orbits charges it, and the sum of those
-charges is its work. Its graphs are independent, so a sweep of large work
-is dealt round-robin to one process per usable CPU (os.sched_getaffinity,
-which taskset restricts): share 0 runs in this process, the others in
-forked children that pickle their results back. Small sweeps, single-CPU
-hosts, hosts without fork and multi-threaded callers sweep in this
-process alone, as does any sweep whose fan-out fails. The report does not
-depend on the number of processes.
+each (graph, length) as enumerate_orbits charges it and each graph as it
+is listed, and the sum of those charges is its work. Its graphs are
+independent, so a sweep of large work is dealt round-robin to one process
+per usable CPU (os.sched_getaffinity, which taskset restricts): share 0
+runs in this process, the others in forked children that pickle their
+results back. Small sweeps, single-CPU hosts, hosts without fork and
+multi-threaded callers sweep in this process alone, as does any sweep
+whose fan-out fails. The report does not depend on the number of
+processes.
 Instrumentation of calls made inside the children (the bench tracer's
 per-layer spans) is not seen by the caller.
 """
@@ -153,26 +158,19 @@ def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tupl
             yield kk, omega, x, repetition, keys
 
 
-def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None) -> list[Orbit]:
-    """All distinct periodic orbits of length l (restricted to b-count k if given).
+def _orbit_groups(G: CirculantGraph, l: int,
+                  k: int | None = None) -> Iterator[tuple[int, int, list[int], dict[int, int]]]:
+    """(k, omega, keys, repeated) for each closing b-count k of length l, k increasing.
 
-    Walks the words of each closing b-count, keeps those least among their
-    rotations and takes their orbits' canonical presentations from every
-    start at once: the starts in the gap below a sorted prefix residue have
-    their least vertex there (module docstring). Output is sorted by
-    (b-count, start, steps): b-counts come in increasing order with one
-    omega each, and within a b-count the canonical keys (start << l) | word
-    are sorted as plain ints, with the repetition looked up by key only
-    where it is not 1. Connectivity is not required.
-
-    Time grows as about W * (l + n) for W candidate words, C(l, k) or 2**l;
-    the budget still charges max(W, l) * n * l and refuses above it.
+    keys are the sorted canonical keys (start << l) | word of the b-count's
+    orbits, and repeated maps the keys of nonprimitive orbits to their
+    repetition. The arguments are checked and the whole enumeration is
+    charged before the first group, so nothing is yielded from a refused
+    call. One b-count's orbits are held at a time.
     """
     check_lk(l, 0 if k is None else k)
     _charge(G, l, k)
-    mask, fmt = (1 << l) - 1, f"0{l}b"
-    found = []
-    for _, group in groupby(_rotation_classes(G, l, k), itemgetter(0)):
+    for kk, group in groupby(_rotation_classes(G, l, k), itemgetter(0)):
         keys: list[int] = []
         repeated: dict[int, int] = {}
         for _, omega, _, repetition, class_keys in group:
@@ -180,8 +178,29 @@ def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None) -> list[Or
             if repetition != 1:
                 repeated.update(dict.fromkeys(class_keys, repetition))
         keys.sort()
-        found.extend(Orbit(key >> l, format(key & mask, fmt).translate(_AB), omega,
-                           repeated.get(key, 1)) for key in keys)
+        yield kk, omega, keys, repeated
+
+
+def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None) -> list[Orbit]:
+    """All distinct periodic orbits of length l (restricted to b-count k if given).
+
+    The list form of _orbit_groups: walks the words of each closing
+    b-count, keeps those least among their rotations and takes their
+    orbits' canonical presentations from every start at once: the starts
+    in the gap below a sorted prefix residue have their least vertex there
+    (module docstring). Output is sorted by (b-count, start, steps):
+    b-counts come in increasing order with one omega each, and within a
+    b-count the canonical keys are sorted as plain ints. Connectivity is
+    not required.
+
+    Time grows as about W * (l + n) for W candidate words, C(l, k) or 2**l;
+    the budget still charges max(W, l) * n * l and refuses above it.
+    """
+    found = []
+    for _, omega, keys, repeated in _orbit_groups(G, l, k):
+        mask = (1 << l) - 1
+        found.extend(Orbit(key >> l, _steps(key & mask, l), omega, repeated.get(key, 1))
+                     for key in keys)
     return found
 
 
@@ -316,21 +335,24 @@ def verify_range(n_max: int, l_max: int) -> dict:
     The whole sweep is charged before any case runs or any process forks:
     each case as enumerate_orbits charges it, max(2^l, l)*n*l = n*l << l,
     so the refusal is that of the first case in sweep order over the
-    budget. A case's formula checks charge at most l*l/2, below the l*l*n
-    charged first for its enumeration, so none refuses later. The sum of
+    budget, and no graph after it is listed. A case's formula checks charge
+    at most l*l/2, below the l*l*n charged first for its enumeration, so
+    none refuses later. The sum of
     the charges is the work that decides whether large sweeps run on every
     usable CPU (module docstring); the report is that of one process.
     """
     budget = resolve_budget()  # a bad budget is refused before a bad l_max
     if l_max < 1:
         raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
-    graphs = list(connected_graphs(n_max))
-    work = 0
-    for G in graphs:  # in sweep order; range is lazy, so a huge l_max refuses early
+    graphs, work = [], 0
+    # In sweep order, each graph as it is listed; range is lazy, so a huge
+    # n_max or l_max refuses without listing the graphs or lengths after it.
+    for G in connected_graphs(n_max):
         for l in range(1, l_max + 1):
             if (cost := _enum_cost(G, l, None)) > budget:
                 _charge(G, l, None)
             work += cost
+        graphs.append(G)
     cases, mismatches, checks = [], [], 0
     for graph_cases, graph_mismatches, graph_checks in _sweep(graphs, l_max, work):
         cases += graph_cases

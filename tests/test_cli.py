@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circorbits import (
     BudgetExceeded,
@@ -383,6 +383,69 @@ def test_enumerate_renders_through_to_step_string(capsys, steps, l, k, primitive
                                 "nonprimitive": len(orbits) - primitive}))
     assert out.splitlines() == expected
     assert len(orbits) >= 10
+
+
+_CONNECTED_24 = list(oracle.connected_graphs(24))
+
+
+@st.composite
+def _enumerate_request(draw):
+    """(G, l, closing b-count or None, primitive_only) on a connected graph with n <= 24."""
+    G = draw(st.sampled_from(_CONNECTED_24))
+    l = draw(st.integers(1, 10))
+    closing = [k for k in range(l + 1) if (l * G.a + k * G.d) % G.n == 0]
+    k = draw(st.sampled_from([None, *closing]))
+    return G, l, k, draw(st.booleans())
+
+
+
+# The CLI writes its lines from orbit keys, the library through Orbit and
+# to_step_string: the two renderings must agree line for line.
+@settings(max_examples=300, deadline=None)
+@given(_enumerate_request())
+@example((CirculantGraph(23, 10, 13), 8, 4, True))  # a two-digit a
+@example((CirculantGraph(20, 3, 9), 10, None, False))  # b = 9: concatenated steps
+@example((CirculantGraph(20, 3, 10), 10, 4, False))  # b = 10: comma-separated steps
+@example((CirculantGraph(20, 3, 10), 10, None, True))
+def test_enumerate_lines_follow_the_library_orbits(request):
+    G, l, k, primitive_only = request
+    argv = ["enumerate", "--n", str(G.n), "--a", str(G.a), "--b", str(G.b),
+            "--length", str(l)]
+    argv += ["--bcount", str(k)] * (k is not None) + ["--primitive-only"] * primitive_only
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    orbits = enumerate_orbits(G, l, k)
+    primitive = sum(o.is_primitive() for o in orbits)
+    expected = [json.dumps({"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
+                            "l": l, "k": o.steps.count("b"), "omega": o.omega,
+                            "repetition": o.repetition}) + "\n"
+                for o in orbits if o.is_primitive() or not primitive_only]
+    expected.append(json.dumps({"orbits": len(orbits), "primitive": primitive,
+                                "nonprimitive": len(orbits) - primitive}) + "\n")
+    assert out.getvalue() == "".join(expected)
+
+
+# Arguments and the budget are checked before the first line is written.
+@pytest.mark.parametrize("argv, env, code, line", [
+    (("--length", "-1"), None, 2, "length must be >= 1, got -1"),
+    (("--length", "0"), None, 2, "length must be >= 1, got 0"),
+    (("--length", "-1", "--bcount", "0"), None, 2, "length must be >= 1, got -1"),
+    (("--length", "4", "--bcount", "5"), None, 2,
+     "b-count must satisfy 0 <= k <= l, got k=5, l=4"),
+    (("--length", "4", "--bcount", "-1"), None, 2,
+     "b-count must satisfy 0 <= k <= l, got k=-1, l=4"),
+    (("--length", "9"), "1000", 4, "enumerating length 9 on C_9(1,4) costs at least 41472 "
+                                   "> budget 1000 (max(W, l)*n*l for W candidate words)"),
+], ids=["negative-length", "zero-length", "negative-length-bcount", "bcount-above-l",
+        "negative-bcount", "budget"])
+def test_enumerate_refuses_before_any_output(capsys, monkeypatch, argv, env, code, line):
+    if env is None:
+        monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CIRCORBITS_BUDGET", env)
+    assert run_cli(capsys, "enumerate", "--n", "9", "--a", "1", "--b", "4", *argv) == (
+        code, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("steps, l, k", [

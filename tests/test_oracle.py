@@ -436,6 +436,25 @@ def test_verify_refuses_the_first_case_enumeration_refuses(budget, n_max, l_max)
             assert str(refused.value) == first
 
 
+def test_verify_charges_each_graph_as_it_is_listed(monkeypatch):
+    # C_3(1,2), the first graph, is refused at length 22, so the sweep must
+    # not list the other connected graphs up to 200 (seconds and 100 MB).
+    listed = oracle.connected_graphs
+
+    def first_graph_only(n_max):
+        graphs = listed(n_max)
+        yield next(graphs)
+        raise AssertionError("a second graph was listed")
+
+    monkeypatch.setattr(oracle, "connected_graphs", first_graph_only)
+    monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded) as refused:
+        verify_range(200, 30)
+    assert str(refused.value) == (
+        "enumerating length 22 on C_3(1,2) costs at least 276824064 > budget 268435456 "
+        "(max(W, l)*n*l for W candidate words)")
+
+
 def test_interrupted_parent_kills_and_reaps_its_workers(shares, monkeypatch):
     parent = os.getpid()
 
