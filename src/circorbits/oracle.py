@@ -15,9 +15,9 @@ and best[r] is the least rotation reached at r. With residues 0 = r_0 <
 ... < r_m and r_{-1} = r_m - n, the starts whose least vertex u comes from
 r_j have u in range(r_j - r_{j-1}); x's orbits are {(u << l) | best[r_j]}.
 
-_orbit_groups gives the sorted keys of one closing b-count at a time;
-enumerate_orbits turns them into Orbit values, and the CLI writes its
-lines from the keys themselves, one b-count at a time.
+_orbit_groups yields the sorted keys of one closing b-count at a time;
+enumerate_orbits turns them into Orbits, and the CLI writes its lines
+from the keys.
 
 verify_range sweeps every connected two-step circulant graph up to a
 size bound and cross-checks the formula counts, the reduced/unreduced
@@ -159,7 +159,7 @@ def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tupl
 
 
 def _orbit_groups(G: CirculantGraph, l: int,
-                  k: int | None = None) -> Iterator[tuple[int, int, list[int], dict[int, int]]]:
+                  k: int | None) -> Iterator[tuple[int, int, list[int], dict[int, int]]]:
     """(k, omega, keys, repeated) for each closing b-count k of length l, k increasing.
 
     keys are the sorted canonical keys (start << l) | word of the b-count's
@@ -337,9 +337,9 @@ def verify_range(n_max: int, l_max: int) -> dict:
     so the refusal is that of the first case in sweep order over the
     budget, and no graph after it is listed. A case's formula checks charge
     at most l*l/2, below the l*l*n charged first for its enumeration, so
-    none refuses later. The sum of
-    the charges is the work that decides whether large sweeps run on every
-    usable CPU (module docstring); the report is that of one process.
+    none refuses later. The sum of the charges is the work that decides
+    whether large sweeps run on every usable CPU (module docstring); the
+    report is that of one process.
     """
     budget = resolve_budget()  # a bad budget is refused before a bad l_max
     if l_max < 1:

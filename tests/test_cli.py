@@ -398,7 +398,6 @@ def _enumerate_request(draw):
     return G, l, k, draw(st.booleans())
 
 
-
 # The CLI writes its lines from orbit keys, the library through Orbit and
 # to_step_string: the two renderings must agree line for line.
 @settings(max_examples=300, deadline=None)
