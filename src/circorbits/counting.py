@@ -22,7 +22,7 @@ from .errors import InvariantViolated, NotLatticePoint
 from .graph import CirculantGraph
 from .lattice import bcounts_for_length
 from .numtheory import binomial, divisors, moebius_divisors
-from .words import _charge_binomials, check_lk, decompose
+from .words import _charge_binomials, _moebius_binomials, check_lk, decompose
 
 
 CountTerm = namedtuple("CountTerm", "m mu binomial q", defaults=(None,))
@@ -67,9 +67,7 @@ def count_orbits_lk(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
     omega = _winding(G, l, k)
     if omega is None:
         return OrbitCountReport(l, k, None, 0, ())
-    _charge_binomials(l, k)
-    terms = [CountTerm(m, mu, binomial(l // m, k // m))
-             for m, mu in moebius_divisors(math.gcd(l, k, omega))]
+    terms = [CountTerm(*t) for t in _moebius_binomials(l, k, math.gcd(l, k, omega))]
     return _finish(G, l, k, omega, terms)
 
 

@@ -3,9 +3,9 @@
 Everything here is plain arbitrary-precision integer math; no floating
 point is used anywhere, and every routine stays exact.
 
-`_factor` is the one factorisation and `moebius_divisors` the one
-Moebius-sum walk, whose (d, mu(d)) pairs every formula sums over: no other
-routine trial-divides, and no other module calls `moebius` for a Moebius sum.
+`_factor` is the one routine that trial-divides; `divisors` and
+`moebius_divisors` each call it once. `moebius_divisors` is the one
+Moebius-sum walk, whose (d, mu(d)) pairs every formula sums over.
 
 Every count is a Moebius sum of binomials, so `binomial` is the hot path.
 It picks one of two methods from its inputs alone. With y = min(y, x - y),
@@ -26,10 +26,10 @@ from functools import cache
 from itertools import compress
 
 
-def _factor(m: int, caller: str = "divisors") -> list[int]:
+def _factor(m: int) -> list[int]:
     """The prime factors of m >= 1, repeated by multiplicity, in increasing order."""
     if m < 1:
-        raise ValueError(f"{caller} needs m >= 1, got {m}")
+        raise ValueError(f"divisors needs m >= 1, got {m}")
     primes = []
     p = 2
     while p * p <= m:
@@ -39,12 +39,6 @@ def _factor(m: int, caller: str = "divisors") -> list[int]:
             m //= p
             primes.append(p)
     return primes + [m] if m > 1 else primes
-
-
-def moebius(m: int) -> int:
-    """Moebius function: 1 for m=1, (-1)^h for a product of h distinct primes, 0 otherwise."""
-    primes = _factor(m, "moebius")
-    return (-1) ** len(primes) if len(set(primes)) == len(primes) else 0
 
 
 def divisors(m: int) -> list[int]:
@@ -57,10 +51,10 @@ def divisors(m: int) -> list[int]:
 
 def moebius_divisors(m: int) -> list[tuple[int, int]]:
     """The pairs (d, mu(d)) over the squarefree divisors d of m >= 1, d increasing."""
-    squarefree = [1]
+    pairs = [(1, 1)]
     for p in set(_factor(m)):
-        squarefree += [d * p for d in squarefree]
-    return [(d, moebius(d)) for d in sorted(squarefree)]
+        pairs += [(d * p, -mu) for d, mu in pairs]
+    return sorted(pairs)
 
 
 @cache

@@ -46,6 +46,12 @@ def _charge_binomials(l: int, k: int) -> None:
            " (min(k, l-k) * bits(l))")
 
 
+def _moebius_binomials(l: int, k: int, g: int) -> list[tuple[int, int, int]]:
+    """(m, mu(m), C(l/m, k/m)) for each squarefree m | g, m increasing, charged first."""
+    _charge_binomials(l, k)
+    return [(m, mu, binomial(l // m, k // m)) for m, mu in moebius_divisors(g)]
+
+
 WordDecomposition = namedtuple("WordDecomposition", "root repetition")
 WordDecomposition.__doc__ = "A word split as root * repetition, with root primitive."
 
@@ -82,8 +88,7 @@ def count_lyndon(l: int, k: int) -> int:
     divided by l; the division is exact.
     """
     check_lk(l, k)
-    _charge_binomials(l, k)
-    total = sum(mu * binomial(l // m, k // m) for m, mu in moebius_divisors(math.gcd(l, k)))
+    total = sum(mu * c for _, mu, c in _moebius_binomials(l, k, math.gcd(l, k)))
     if total % l:
         raise InvariantViolated(f"non-integer Lyndon count for (l={l}, k={k})")
     return total // l
@@ -92,10 +97,7 @@ def count_lyndon(l: int, k: int) -> int:
 def count_nonprimitive(l: int, k: int) -> int:
     """Number of nonprimitive words of length l with b-count k (inclusion-exclusion)."""
     check_lk(l, k)
-    _charge_binomials(l, k)
-    return -sum(
-        mu * binomial(l // m, k // m) for m, mu in moebius_divisors(math.gcd(l, k)) if m > 1
-    )
+    return -sum(mu * c for m, mu, c in _moebius_binomials(l, k, math.gcd(l, k)) if m > 1)
 
 
 def list_lyndon(l: int, k: int) -> list[str]:

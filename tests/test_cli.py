@@ -22,6 +22,7 @@ from circorbits import (
     list_lyndon,
     oracle,
     to_step_string,
+    words,
 )
 from circorbits.cli import main
 from circorbits.words import DEFAULT_BUDGET, resolve_budget
@@ -302,7 +303,7 @@ def test_lyndon_count_charge_follows_the_environment_budget(capsys, monkeypatch)
 
 def test_invariant_violation_exits_5(capsys, monkeypatch):
     # a wrong binomial makes 21 * C / 15 non-integral, which the count refuses to print
-    monkeypatch.setattr(counting, "binomial", lambda x, y: 1)
+    monkeypatch.setattr(words, "binomial", lambda x, y: 1)
     code, out, err = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
                              "--length", "15", "--bcount", "4")
     assert code == 5
@@ -529,7 +530,7 @@ def test_refusal_exit_code_and_message(capsys, monkeypatch, argv, env, code, lin
     if env is not None:
         monkeypatch.setenv("CIRCORBITS_BUDGET", env)
     if code == 5:
-        monkeypatch.setattr(counting, "binomial", lambda x, y: 1)
+        monkeypatch.setattr(words, "binomial", lambda x, y: 1)
     assert run_cli(capsys, *argv) == (code, "", f"error: {line}\n")
 
 

@@ -20,6 +20,7 @@ from circorbits import (
     count_orbits_lk,
     count_orbits_lk_unreduced,
     divisors,
+    numtheory,
     predicted_repetition,
     sum_reduction_check,
 )
@@ -280,3 +281,22 @@ def test_formula_charge_comes_after_the_existing_refusals(monkeypatch):
     assert count_orbits_lk(G, 15, 5) == OrbitCountReport(15, 5, None, 0, ())
     with pytest.raises(NotLatticePoint):
         count_orbits_lk_unreduced(G, 15, 5)
+
+
+def test_each_moebius_sum_factors_its_gcd_once(monkeypatch):
+    calls = []
+    factor = numtheory._factor
+
+    def counting_factor(m, *rest):
+        calls.append(m)
+        return factor(m, *rest)
+
+    monkeypatch.setattr(numtheory, "_factor", counting_factor)
+    assert count_lyndon(360, 240) == sum(naive_mu(m) * math.comb(360 // m, 240 // m)
+                                         for m in naive_divisors(120)) // 360
+    assert calls == [120]
+    calls.clear()
+    # omega = 9, so the sum runs over gcd(360, 240, 9) = 3
+    assert [(t.m, t.mu) for t in count_orbits_lk(CirculantGraph(440, 5, 14), 360, 240).terms] \
+        == [(1, 1), (3, -1)]
+    assert calls == [3]

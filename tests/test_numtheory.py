@@ -4,36 +4,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circorbits import binomial, divisors, numtheory
-from circorbits.numtheory import moebius, moebius_divisors
+from circorbits.numtheory import moebius_divisors
 
 from brute import naive_divisors, naive_mu, pascal_table, scaled_binomial
 
 
+def _mu(m):
+    """mu(m) from the sign moebius_divisors(m) gives m itself; 0 when m is not squarefree."""
+    d, mu = moebius_divisors(m)[-1]
+    return mu if d == m else 0
+
+
 def test_moebius_examples():
-    assert moebius(1) == 1
-    assert moebius(6) == 1
-    assert moebius(12) == 0
-    assert moebius(2) == -1
-    assert moebius(30) == -1
-    assert moebius(49) == 0
-
-
-def test_moebius_rejects_zero():
-    with pytest.raises(ValueError, match=r"^moebius needs m >= 1, got 0$"):
-        moebius(0)
+    assert _mu(1) == 1
+    assert _mu(6) == 1
+    assert _mu(12) == 0
+    assert _mu(2) == -1
+    assert _mu(30) == -1
+    assert _mu(49) == 0
 
 
 def test_moebius_divisor_sums_vanish():
     # sum of mu over the divisors of y is 0 for every y > 1, and 1 at y = 1
     for y in range(1, 10**4 + 1):
-        total = sum(moebius(j) for j in divisors(y))
+        total = sum(mu for _, mu in moebius_divisors(y))
         assert total == (1 if y == 1 else 0), f"divisor sum failed at y={y}"
 
 
 @given(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=1000))
 def test_moebius_multiplicative_on_coprime_pairs(u, v):
     if math.gcd(u, v) == 1:
-        assert moebius(u * v) == moebius(u) * moebius(v)
+        assert _mu(u * v) == _mu(u) * _mu(v)
 
 
 def test_divisors_examples():
@@ -188,5 +189,5 @@ def test_large_arguments_match_their_factorisation(m, factors):
     assert divisors(m) == divs
     assert moebius_divisors(m) == signed
     squarefree = all(e == 1 for e in factors.values())
-    assert moebius(m) == ((-1) ** len(factors) if squarefree else 0)
-    assert [moebius(d) for d, _ in signed] == [mu for _, mu in signed]
+    assert _mu(m) == ((-1) ** len(factors) if squarefree else 0)
+    assert [_mu(d) for d, _ in signed] == [mu for _, mu in signed]
