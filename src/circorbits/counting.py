@@ -96,9 +96,10 @@ def count_orbits_lk_unreduced(G: CirculantGraph, l: int, k: int) -> OrbitCountRe
         raise NotLatticePoint(
             f"(l={l}, k={k}) is not a lattice point of C_{G.n}({G.a},{G.b})"
         )
-    _charge_binomials(l, k)
+    gamma = math.gcd(l, k)
+    _charge_binomials(l, k, gamma)
     terms = [CountTerm(m, mu, binomial(l // (q * m), k // (q * m)), q=q)
-             for q, m, mu in _blocks(math.gcd(l, k), omega)]
+             for q, m, mu in _blocks(gamma, omega)]
     return _finish(G, l, k, omega, terms)
 
 

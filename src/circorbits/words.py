@@ -40,15 +40,23 @@ def charge(cost: int, what: str, rule: str = "") -> None:
         raise BudgetExceeded(f"{what} {cost} > budget {budget}{rule}")
 
 
-def _charge_binomials(l: int, k: int) -> None:
-    """Refuse C(l/m, k/m) sums above the budget; min(k, l-k) * bits(l) bounds log2 C(l, k)."""
-    charge(min(k, l - k) * l.bit_length(), f"binomials of (l={l}, k={k}) charge",
-           " (min(k, l-k) * bits(l))")
+def _charge_binomials(l: int, k: int, g: int) -> None:
+    """Refuse a sum of C(l/m, k/m) over the m | g above the budget.
+
+    When 0 < k < l, min(k, l-k) * bits(l) bounds log2 C(l, k), and also the
+    isqrt(g) trial divisions that factor g, as g <= min(k, l-k). When k is
+    0 or l every binomial is 1, and the charge is those isqrt(g) divisions.
+    """
+    if 0 < k < l:
+        charge(min(k, l - k) * l.bit_length(), f"binomials of (l={l}, k={k}) charge",
+               " (min(k, l-k) * bits(l))")
+    else:
+        charge(math.isqrt(g), f"factoring gcd {g} of (l={l}, k={k}) costs", " (isqrt(gcd))")
 
 
 def _moebius_binomials(l: int, k: int, g: int) -> list[tuple[int, int, int]]:
     """(m, mu(m), C(l/m, k/m)) for each squarefree m | g, m increasing, charged first."""
-    _charge_binomials(l, k)
+    _charge_binomials(l, k, g)
     return [(m, mu, binomial(l // m, k // m)) for m, mu in moebius_divisors(g)]
 
 

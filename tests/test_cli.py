@@ -290,6 +290,53 @@ def test_huge_binomials_are_refused_before_the_sieve(capsys, monkeypatch, argv):
                              f"{DEFAULT_BUDGET} (min(k, l-k) * bits(l))\n")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("lyndon", "count", "--length", "121", "--bcount", "0"),
+     "factoring gcd 121 of (l=121, k=0) costs 11"),
+    (("lyndon", "count", "--length", "121", "--bcount", "121"),
+     "factoring gcd 121 of (l=121, k=121) costs 11"),
+    (("lyndon", "list", "--length", "121", "--bcount", "0"),
+     "factoring gcd 121 of (l=121, k=0) costs 11"),
+    (("lyndon", "list", "--length", "121", "--bcount", "121"),
+     "factoring gcd 121 of (l=121, k=121) costs 11"),
+    # omega = 121 at k = 0 and 242 at k = l, so the reduced sum runs over gcd 121
+    (("count", "--n", "3", "--a", "1", "--b", "2", "--length", "363", "--bcount", "0"),
+     "factoring gcd 121 of (l=363, k=0) costs 11"),
+    (("count", "--n", "3", "--a", "1", "--b", "2", "--length", "363", "--bcount", "363"),
+     "factoring gcd 121 of (l=363, k=363) costs 11"),
+    (("count", "--n", "3", "--a", "1", "--b", "2", "--length", "363", "--bcount", "0",
+      "--method", "unreduced"), "factoring gcd 363 of (l=363, k=0) costs 19"),
+    (("count", "--n", "3", "--a", "1", "--b", "2", "--length", "363", "--bcount", "363",
+      "--method", "unreduced"), "factoring gcd 363 of (l=363, k=363) costs 19"),
+], ids=["lyndon-count-0", "lyndon-count-l", "lyndon-list-0", "lyndon-list-l",
+        "count-0", "count-l", "unreduced-0", "unreduced-l"])
+def test_factoring_the_gcd_is_charged_when_k_is_0_or_l(capsys, monkeypatch, argv, line):
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "10")
+    assert run_cli(capsys, *argv) == (4, "", f"error: {line} > budget 10 (isqrt(gcd))\n")
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "19")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("lyndon", "count", "--length", "100000000000000003", "--bcount", "0"),
+     "factoring gcd 100000000000000003 of (l=100000000000000003, k=0) costs 316227766"),
+    (("count", "--n", "3", "--a", "1", "--b", "2", "--length", "300000000000000009",
+      "--bcount", "0"),
+     "factoring gcd 100000000000000003 of (l=300000000000000009, k=0) costs 316227766"),
+    (("count", "--n", "3", "--a", "1", "--b", "2", "--length", "300000000000000009",
+      "--bcount", "0", "--method", "unreduced"),
+     "factoring gcd 300000000000000009 of (l=300000000000000009, k=0) costs 547722557"),
+], ids=["lyndon-count", "count", "unreduced"])
+def test_a_prime_gcd_past_the_budget_is_refused_before_it_is_factored(capsys, monkeypatch,
+                                                                      argv, line):
+    # 10**17 + 3 is prime: trial division up to its root would take minutes.
+    monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert result == (4, "", f"error: {line} > budget {DEFAULT_BUDGET} (isqrt(gcd))\n")
+
+
 def test_lyndon_count_charge_follows_the_environment_budget(capsys, monkeypatch):
     # min(1000, 1000) * bits(2000) = 11000
     argv = ("lyndon", "count", "--length", "2000", "--bcount", "1000")
