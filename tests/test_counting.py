@@ -304,28 +304,6 @@ def test_each_moebius_sum_factors_its_gcd_once(monkeypatch):
     assert calls == [3]
 
 
-@pytest.mark.parametrize("k", [0, 121])
-def test_factoring_the_gcd_is_charged_when_k_is_0_or_l(monkeypatch, k):
-    # Every binomial is 1 here, so the one cost is trial division of the gcd
-    # up to its square root: 11 for 121, 19 for 363. On C_3(1,2) the reduced
-    # sum at l = 363 runs over gcd(l, k, omega) = 121, the unreduced one over 363.
-    G = CirculantGraph(3, 1, 2)
-    monkeypatch.setenv("CIRCORBITS_BUDGET", "10")
-    line = rf"^factoring gcd 121 of \(l=121, k={k}\) costs 11 > budget 10 \(isqrt\(gcd\)\)$"
-    for count in (count_lyndon, count_nonprimitive):
-        with pytest.raises(BudgetExceeded, match=line):
-            count(121, k)
-    with pytest.raises(BudgetExceeded, match=rf"^factoring gcd 121 of \(l=363, k={3 * k}\) "
-                                             r"costs 11 > budget 10 \(isqrt\(gcd\)\)$"):
-        count_orbits_lk(G, 363, 3 * k)
-    with pytest.raises(BudgetExceeded, match=rf"^factoring gcd 363 of \(l=363, k={3 * k}\) "
-                                             r"costs 19 > budget 10 \(isqrt\(gcd\)\)$"):
-        count_orbits_lk_unreduced(G, 363, 3 * k)
-    monkeypatch.setenv("CIRCORBITS_BUDGET", "19")
-    assert (count_lyndon(121, k), count_nonprimitive(121, k)) == (0, 1)
-    assert count_orbits_lk(G, 363, 3 * k).count == count_orbits_lk_unreduced(G, 363, 3 * k).count
-
-
 @settings(max_examples=50, deadline=None)
 @given(_connected_graph_and_class_length(), st.data())
 def test_charge_for_0_lt_k_lt_l_is_the_old_binomial_rule(case, data):

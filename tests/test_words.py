@@ -93,6 +93,17 @@ def test_count_nonprimitive_examples():
     assert count_nonprimitive(30, 20) == expected_30_20
 
 
+@pytest.mark.parametrize("k", [0, 121])
+def test_count_nonprimitive_charges_the_factorisation_when_k_is_0_or_l(monkeypatch, k):
+    # Every binomial is 1, so the charge is isqrt(gcd(121, k)) = 11 trial divisions.
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "10")
+    with pytest.raises(BudgetExceeded, match=rf"^factoring gcd 121 of \(l=121, k={k}\) "
+                                             r"costs 11 > budget 10 \(isqrt\(gcd\)\)$"):
+        count_nonprimitive(121, k)
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "11")
+    assert count_nonprimitive(121, k) == 1
+
+
 def test_word_count_identity_up_to_40():
     # l * (Lyndon count) + (nonprimitive count) accounts for every word
     for l in range(1, 41):
