@@ -4,8 +4,8 @@ Two equivalent routes are implemented. The reduced formula counts orbits
 of length l and b-count k as (n/l) * sum of mu(m)*C(l/m, k/m) over the
 common divisors m of l, k and the winding number. The unreduced formula
 splits the same count over word repetition numbers q coprime to the
-winding number, one block of Lyndon-word counts per q, from the `_blocks`
-walk that sum_reduction_check shares. The brute-force oracle checks both.
+winding number: one Lyndon-word block per q, from `block_divisors`,
+as in sum_reduction_check. The brute-force oracle checks both.
 
 All arithmetic keeps the signed divisor sum as an exact integer, then
 multiplies by n and divides by l; integrality of that final division is
@@ -21,7 +21,7 @@ from collections.abc import Callable, Mapping
 from .errors import InvariantViolated, NotLatticePoint
 from .graph import CirculantGraph
 from .lattice import bcounts_for_length
-from .numtheory import binomial, divisors, moebius_divisors
+from .numtheory import binomial, block_divisors, moebius_divisors
 from .words import _charge_binomials, _moebius_binomials, check_lk, decompose
 
 
@@ -78,12 +78,6 @@ def count_orbits_l(G: CirculantGraph, l: int,
     return sum(r.count for r in reports), reports
 
 
-def _blocks(gamma: int, omega: int) -> list[tuple[int, int, int]]:
-    """(q, m, mu(m)) for each block q | gamma coprime to omega and squarefree m | gamma/q."""
-    return [(q, m, mu) for q in divisors(gamma) if math.gcd(q, omega) == 1
-            for m, mu in moebius_divisors(gamma // q)]
-
-
 def count_orbits_lk_unreduced(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
     """Primitive-orbit count via the repetition-number split.
 
@@ -99,7 +93,7 @@ def count_orbits_lk_unreduced(G: CirculantGraph, l: int, k: int) -> OrbitCountRe
     gamma = math.gcd(l, k)
     _charge_binomials(l, k, gamma)
     terms = [CountTerm(m, mu, binomial(l // (q * m), k // (q * m)), q=q)
-             for q, m, mu in _blocks(gamma, omega)]
+             for q, m, mu in block_divisors(gamma, omega)]
     return _finish(G, l, k, omega, terms)
 
 
@@ -112,7 +106,7 @@ def sum_reduction_check(gamma: int, omega: int, f: Mapping[int, int]) -> tuple[i
     """
     if gamma < 1 or omega < 1:
         raise ValueError(f"gamma and omega must be >= 1, got ({gamma}, {omega})")
-    lhs = sum(mu * f[q * s] for q, s, mu in _blocks(gamma, omega))
+    lhs = sum(mu * f[q * s] for q, s, mu in block_divisors(gamma, omega))
     rhs = sum(mu * f[m] for m, mu in moebius_divisors(math.gcd(gamma, omega)))
     return lhs, rhs
 

@@ -3,9 +3,10 @@
 Everything here is plain arbitrary-precision integer math; no floating
 point is used anywhere, and every routine stays exact.
 
-`_factor` is the one routine that trial-divides; `divisors` and
-`moebius_divisors` each call it once. `moebius_divisors` is the one
-Moebius-sum walk, whose (d, mu(d)) pairs every formula sums over.
+`_factor` is the one routine that trial-divides; `divisors`,
+`moebius_divisors` and `block_divisors` each call it once. The reduced
+and Lyndon formulas sum over the (d, mu(d)) pairs of `moebius_divisors`,
+the unreduced one over the (q, m, mu(m)) triples of `block_divisors`.
 
 Every count is a Moebius sum of binomials, so `binomial` is the hot path.
 It picks one of two methods from its inputs alone. With y = min(y, x - y),
@@ -55,6 +56,15 @@ def moebius_divisors(m: int) -> list[tuple[int, int]]:
     for p in set(_factor(m)):
         pairs += [(d * p, -mu) for d, mu in pairs]
     return sorted(pairs)
+
+
+def block_divisors(gamma: int, omega: int) -> list[tuple[int, int, int]]:
+    """Sorted (q, m, mu(m)) for each q | gamma coprime to omega and squarefree m | gamma/q."""
+    out = {(1, 1, 1)}
+    for p in _factor(gamma):
+        out |= ({(q * p, m, mu) for q, m, mu in out if omega % p}
+                | {(q, m * p, -mu) for q, m, mu in out if m % p})
+    return sorted(out)
 
 
 @cache

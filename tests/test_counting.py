@@ -302,6 +302,22 @@ def test_each_moebius_sum_factors_its_gcd_once(monkeypatch):
     assert [(t.m, t.mu) for t in count_orbits_lk(CirculantGraph(440, 5, 14), 360, 240).terms] \
         == [(1, 1), (3, -1)]
     assert calls == [3]
+    calls.clear()
+    # the unreduced count's 8 repetition blocks q | 120 coprime to 9 share one factorisation
+    report = count_orbits_lk_unreduced(CirculantGraph(440, 5, 14), 360, 240)
+    assert report.count == 440 * (math.comb(360, 240) - math.comb(120, 80)) // 360
+    assert sorted({t.q for t in report.terms}) == [1, 2, 4, 5, 8, 10, 20, 40]
+    assert calls == [120]
+    primitive = 360 * count_lyndon(360, 240)
+    calls.clear()
+    assert count_nonprimitive(360, 240) == math.comb(360, 240) - primitive
+    assert calls == [120]
+    # lhs walks the blocks of 120 for omega = 9; rhs is the Moebius sum over gcd(120, 9) = 3
+    f = {d: d * d for d in divisors(120)}
+    calls.clear()
+    lhs, rhs = sum_reduction_check(120, 9, f)
+    assert lhs == rhs
+    assert calls == [120, 3]
 
 
 @settings(max_examples=50, deadline=None)

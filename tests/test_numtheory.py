@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circorbits import binomial, divisors, numtheory
-from circorbits.numtheory import moebius_divisors
+from circorbits.numtheory import block_divisors, moebius_divisors
 
 from brute import naive_divisors, naive_mu, pascal_table, scaled_binomial
 
@@ -61,6 +61,48 @@ def test_moebius_divisors_examples_and_rejects_nonpositive():
     for m in (0, -4):
         with pytest.raises(ValueError, match=rf"^divisors needs m >= 1, got {m}$"):
             moebius_divisors(m)
+
+
+def _blocks_per_q(gamma, omega):
+    """The unreduced sum's terms by their definition: one Moebius sum per block q."""
+    return [(q, m, mu) for q in divisors(gamma) if math.gcd(q, omega) == 1
+            for m, mu in moebius_divisors(gamma // q)]
+
+
+@pytest.mark.parametrize("gamma, omegas", [
+    (720720, [1, 17, 2, 30, 7 * 11 * 13, 720720]),
+    (2**20, [1, 3, 2, 2**20]),
+    (3**5 * 5**3 * 7, [1, 2, 3, 15, 105]),
+    # 720720 * 50000000021; omega coprime to it gives 480 blocks (checked by size below)
+    (36036000015135120, [6, 30030, 36036000015135120]),
+])
+def test_block_divisors_at_large_gcds(gamma, omegas):
+    for omega in omegas:
+        assert block_divisors(gamma, omega) == _blocks_per_q(gamma, omega), omega
+
+
+def test_block_divisors_of_the_480_block_gcd():
+    triples = block_divisors(36036000015135120, 1)
+    assert len(triples) == 10935
+    assert len({q for q, _, _ in triples}) == 480
+    assert triples[:3] == [(1, 1, 1), (1, 2, -1), (1, 3, -1)]
+
+
+@st.composite
+def _gcd_and_winding(draw):
+    """gamma <= 10**6 and an omega that shares none, some or all of its primes."""
+    gamma = draw(st.integers(min_value=1, max_value=10**6), label="gamma")
+    shared = draw(st.sampled_from(divisors(gamma)), label="shared")
+    other = draw(st.integers(min_value=1, max_value=3000), label="other")
+    while math.gcd(other, gamma) > 1:
+        other += 1
+    return gamma, shared * other
+
+
+@given(_gcd_and_winding())
+def test_block_divisors_match_the_blocks_one_by_one(case):
+    gamma, omega = case
+    assert block_divisors(gamma, omega) == _blocks_per_q(gamma, omega)
 
 
 def test_binomial_examples():
