@@ -20,6 +20,10 @@ parser alone, built as the full parser builds it, so its help and usage errors
 are the full parser's: building all six takes several times as long, and for a
 small count that is most of the call. Top-level help, no or an unknown command
 and left-over arguments go to the full parser, built only off the hot path.
+
+Only enumerate and verify import the brute-force `oracle`, inside their
+handlers: a one-shot count, lattice, lyndon or graph call does not compile
+or import it. Every module those four run is imported at the top.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .counting import (
 from .errors import CircorbitsError, InvariantViolated
 from .graph import CirculantGraph, dot_graph
 from .lattice import basis, lattice_points, skipped_windings
-from .oracle import _orbit_groups, verify_range
 from .words import DEFAULT_BUDGET, count_lyndon, list_lyndon, step_table
 
 
@@ -142,6 +145,8 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .oracle import _orbit_groups
+
     G = CirculantGraph(args.n, args.a, args.b)
     l, write, orbits, primitive = args.length, sys.stdout.write, 0, 0
     table = step_table(G.a, G.b)
@@ -164,6 +169,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import verify_range
+
     report = verify_range(args.nmax, args.lmax)
     print(json.dumps(report))
     return 0 if report["passed"] else 1

@@ -35,6 +35,10 @@ whose fan-out fails. The report does not depend on the number of
 processes.
 Instrumentation of calls made inside the children (the bench tracer's
 per-layer spans) is not seen by the caller.
+
+Of the CLI's commands only enumerate and verify import this module, when
+they run; the package exports its names lazily, so `import circorbits`
+does not load it either.
 """
 
 from __future__ import annotations
