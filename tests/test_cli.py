@@ -646,7 +646,7 @@ def test_verify_enumeration_and_formulas_read_one_budget(capsys, monkeypatch):
 
 def test_verify_failure_report_is_unchanged(capsys, monkeypatch):
     # Each formula the sweep checks is off by one on a few (graph, length)
-    # cases, so all five mismatch kinds are reported. The digest pins the
+    # cases, so all four mismatch kinds are reported. The digest pins the
     # whole failing report: check count, mismatch entries and their key
     # order, first_mismatch and every case's ok flag.
     def off_by_one(fn, targets, bump):
@@ -658,12 +658,12 @@ def test_verify_failure_report_is_unchanged(capsys, monkeypatch):
     def bump_report(report):
         return report._replace(count=report.count + 1)
 
-    monkeypatch.setattr(oracle, "count_orbits_lk", off_by_one(
-        oracle.count_orbits_lk, {(4, 1, 3, 4), (5, 1, 2, 5)}, bump_report))
+    classes_off = off_by_one(oracle.count_orbits_l, {(4, 1, 3, 4), (5, 1, 2, 5)},
+                             lambda r: (r[0], [bump_report(c) for c in r[1]]))
+    monkeypatch.setattr(oracle, "count_orbits_l", off_by_one(
+        classes_off, {(4, 1, 2, 4)}, lambda r: (r[0] + 1, r[1])))
     monkeypatch.setattr(oracle, "count_orbits_lk_unreduced", off_by_one(
         oracle.count_orbits_lk_unreduced, {(5, 2, 3, 5)}, bump_report))
-    monkeypatch.setattr(oracle, "count_orbits_l", off_by_one(
-        oracle.count_orbits_l, {(4, 1, 2, 4)}, lambda r: (r[0] + 1, r[1])))
     predicted = oracle.predicted_repetition
     monkeypatch.setattr(oracle, "predicted_repetition", lambda G, w: predicted(G, w) + (
         (G.n, G.a, G.b, len(w)) == (5, 1, 4, 4)))
@@ -672,11 +672,10 @@ def test_verify_failure_report_is_unchanged(capsys, monkeypatch):
     assert code == 1
     report = json.loads(out)
     assert {m["kind"] for m in report["mismatches"]} == {
-        "reduced-vs-oracle", "unreduced-vs-reduced", "total-vs-oracle",
-        "total-vs-classes", "repetition-law"}
-    assert (report["checks"], len(report["mismatches"])) == (491, 30)
+        "reduced-vs-oracle", "unreduced-vs-reduced", "total-vs-oracle", "repetition-law"}
+    assert (report["checks"], len(report["mismatches"])) == (441, 23)
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "eaa104054259472ff5548443e44d667c9717a3ee301bcc9eed452e010816c3ec")
+        "fa55f4d6fc8dfb5abe4c4d7a0b331f3f13ca20086e844c8c8fab0213bcc20ecc")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -22,6 +22,7 @@ from circorbits import (
     enumerate_orbits,
     list_lyndon,
     connected_graphs,
+    counting,
     oracle,
     phi,
     verify_range,
@@ -231,6 +232,42 @@ def test_verify_range_covers_the_84_class():
     # 84 primitive orbits at k=3 plus the other admissible classes
     assert row[0]["orbits"] >= 84
     assert count_orbits_lk(CirculantGraph(9, 1, 4), 9, 3).count == 84
+
+
+def test_verify_sums_each_swept_class_once(shares, monkeypatch):
+    # One reduced Moebius sum per (graph, length, b-count) class, all from
+    # the one count_orbits_l call of each case; in process, so every call is seen.
+    calls = []
+    moebius_binomials = counting._moebius_binomials
+
+    def counting_sum(l, k, g):
+        calls.append((l, k))
+        return moebius_binomials(l, k, g)
+
+    monkeypatch.setattr(counting, "_moebius_binomials", counting_sum)
+    shares.force(1)
+    assert verify_range(9, 9)["passed"]
+    assert shares.forked == []
+    swept = [(c.l, c.k) for G in connected_graphs(9) for l in range(1, 10)
+             for c in bcounts_for_length(G, l)]
+    assert calls == swept
+    assert len(calls) == 620
+
+
+def test_verify_reports_a_class_missing_from_the_class_list(monkeypatch):
+    # C_5(1,2) has 5 primitive orbits of length 4, all of b-count 1. A class
+    # list without (4, 1) fails that class's row as well as the length total.
+    listed = counting.bcounts_for_length
+
+    def without_4_1(G, l):
+        return [c for c in listed(G, l) if (G.n, G.a, G.b, c.l, c.k) != (5, 1, 2, 4, 1)]
+
+    monkeypatch.setattr(counting, "bcounts_for_length", without_4_1)
+    case = {"n": 5, "a": 1, "b": 2, "l": 4}
+    assert verify_range(5, 5)["mismatches"] == [
+        {**case, "kind": "reduced-vs-oracle", "expected": "0", "actual": "5", "k": 1},
+        {**case, "kind": "total-vs-oracle", "expected": "0", "actual": "5"},
+    ]
 
 
 def _as_tuples(orbits):
