@@ -1,6 +1,9 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and the child-process helper shared by the test modules."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +47,23 @@ class Shares:
 @pytest.fixture
 def shares(monkeypatch):
     return Shares(monkeypatch)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -S *args` in a child that imports circorbits from the checkout's src.
+
+    -S keeps site-packages .pth files from importing modules first, and hides
+    every installed package. The child gets -O when this process runs under
+    -O. Its environment is this one with PYTHONPATH set to src, without
+    CIRCORBITS_BUDGET or COLUMNS, so what a command refuses and how wide
+    argparse writes do not depend on the caller; env is added on top.
+    kwargs go to subprocess.run, which captures stdout and stderr as bytes.
+    """
+    child_env = {k: v for k, v in os.environ.items() if k not in ("CIRCORBITS_BUDGET", "COLUMNS")}
+    child_env.update(env or {}, PYTHONPATH=str(SRC))
+    flags = ["-S", *["-O"] * sys.flags.optimize]
+    return subprocess.run([sys.executable, *flags, *args], env=child_env, capture_output=True,
+                          **kwargs)

@@ -2,17 +2,14 @@
 circorbits modules each command loads in a fresh interpreter."""
 
 import importlib
-import os
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import circorbits
 from circorbits.cli import main
 
-SRC = Path(circorbits.__file__).resolve().parents[1]
+from conftest import run_python
 
 # What `import circorbits.cli` loads; enumerate and verify add the oracle.
 _COMMON = ["circorbits", "circorbits.cli", "circorbits.counting", "circorbits.errors",
@@ -21,10 +18,8 @@ _ORACLE = sorted([*_COMMON, "circorbits.oracle"])
 
 
 def fresh(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run code in a new `python -S` interpreter that imports circorbits from SRC.
-    -S keeps site-packages .pth files from importing modules first."""
-    proc = subprocess.run([sys.executable, "-S", "-c", code, *args],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True)
+    """Run code in a new `python -S` interpreter (conftest.run_python); it must exit 0."""
+    proc = run_python("-c", code, *args)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc
 

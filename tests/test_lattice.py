@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 from circorbits import (
     CirculantGraph,
     DisconnectedGraph,
+    InvariantViolated,
     NotLatticePoint,
     OrbitClass,
     RejectedParameters,
@@ -88,6 +89,17 @@ def test_bcounts_requires_connected_and_positive_length():
         bcounts_for_length(CirculantGraph(12, 2, 4), 6)
     with pytest.raises(RejectedParameters):
         bcounts_for_length(CirculantGraph(5, 1, 4), 0)
+
+
+def test_bcounts_for_length_refuses_a_winding_number_off_the_class():
+    # Every winding number is a multiple of g = gcd(a, b); correct code
+    # cannot break that, so a graph reports a wrong g. On C_21(4,10) at
+    # l = 15 the first class is k = 4 with omega = 4, not a multiple of 7.
+    class WrongG(CirculantGraph):
+        g = property(lambda self: 7)
+
+    with pytest.raises(InvariantViolated, match="is not a class"):
+        bcounts_for_length(WrongG(21, 4, 10), 15)
 
 
 def test_winding_bounds():

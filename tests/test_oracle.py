@@ -49,6 +49,20 @@ def test_phi_rejects_open_words():
         phi(CirculantGraph(9, 1, 4), "aab", 0)
 
 
+def test_phi_refuses_presentations_that_disagree_with_the_repetition(monkeypatch):
+    # A circuit has l / repetition presentations; correct code cannot reach
+    # the check, so a repetition one too large is injected.
+    circuit = oracle._circuit
+
+    def off_by_one(G, l, x):
+        rots, res, repetition = circuit(G, l, x)
+        return rots, res, repetition + 1
+
+    monkeypatch.setattr(oracle, "_circuit", off_by_one)
+    with pytest.raises(InvariantViolated, match="presentations"):
+        phi(CirculantGraph(9, 1, 4), "aaaaaabbb", 0)
+
+
 def test_phi_is_rotation_invariant():
     # On C_7(1,3) a word closes when l + 2k = 0 (mod 7): k = 1, 4, 3, 0 (mod 7)
     # at l = 5, 6, 8, 7. "abbabb" and "aaaaaaa" are proper powers.

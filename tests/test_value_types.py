@@ -1,13 +1,8 @@
 import copy
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import circorbits
 from circorbits import (
     CirculantGraph,
     CountTerm,
@@ -20,6 +15,8 @@ from circorbits import (
     basis,
     count_orbits_lk,
 )
+
+from conftest import run_python
 
 G = CirculantGraph(9, 1, 4)
 
@@ -105,12 +102,8 @@ def test_cold_import_of_the_cli_skips_heavy_stdlib_modules():
     # -S keeps site-packages .pth files from importing these modules first
     # and so hiding a regression in the package's own imports. The oracle is
     # imported only by the enumerate and verify handlers.
-    src = Path(circorbits.__file__).resolve().parents[1]
     heavy = ("dataclasses", "inspect", "ast", "dis", "typing", "pickle", "circorbits.oracle")
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         f"import sys, circorbits.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-    )
+    listed = f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    proc = run_python("-c", f"import sys, circorbits.cli; {listed}", text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
