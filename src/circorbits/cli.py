@@ -20,6 +20,10 @@ parser alone, built as the full parser builds it, so its help and usage errors
 are the full parser's: building all six takes several times as long, and for a
 small count that is most of the call. Top-level help, no or an unknown command
 and left-over arguments go to the full parser, built only off the hot path.
+The subcommand's parser is built with a check-only formatter of fixed width,
+which never asks for the terminal size, and its help and usage errors are
+formatted by the stock class; so a call that prints neither imports no
+`shutil`.
 
 Only enumerate and verify import the brute-force `oracle`, inside their
 handlers: a one-shot count, lattice, lyndon or graph call does not compile
@@ -29,6 +33,7 @@ or import it. Every module those four run is imported at the top.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -261,14 +266,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse makes a formatter in every add_argument only to check the metavar.
+# The stock class asks for the terminal size there, and its first call imports
+# shutil; given a width, it asks for nothing.
+_CHECK_FORMATTER = functools.partial(argparse.HelpFormatter, width=80)
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The namespace `main` runs: from `argv[0]`'s subcommand parser alone when it
-    parses all of `argv[1:]`, else from the full parser (help or a usage error)."""
+    parses all of `argv[1:]`, else from the full parser (help or a usage error).
+
+    The subcommand parser is built with the check-only `_CHECK_FORMATTER` and
+    parses with the stock `HelpFormatter`, which formats its help and usage
+    errors at the terminal width, as the full parser's."""
     for name, _, add_flags, func in _COMMANDS:
         if argv and argv[0] == name:
-            parser = argparse.ArgumentParser(prog=f"circorbits {name}")
+            parser = argparse.ArgumentParser(prog=f"circorbits {name}",
+                                             formatter_class=_CHECK_FORMATTER)
             add_flags(parser)
             parser.set_defaults(command=name, func=func)
+            parser.formatter_class = argparse.HelpFormatter
             args, rest = parser.parse_known_args(argv[1:])
             if not rest:
                 return args

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import InvariantViolated, NotLatticePoint, RejectedParameters
 from .graph import CirculantGraph
@@ -70,27 +71,33 @@ def winding_bounds(G: CirculantGraph, l: int) -> tuple[int, int]:
     return lo, hi
 
 
-def bcounts_for_length(G: CirculantGraph, l: int) -> list[OrbitClass]:
-    """All admissible orbit classes of length l, sorted by winding number.
+def _classes(G: CirculantGraph, lengths: range) -> Iterator[OrbitClass]:
+    """The admissible orbit classes of each length in `lengths`, in order.
 
     k solves l*a + k*d = 0 (mod n) with 0 <= k <= l, and omega grows with k.
     With h = gcd(n, d) that needs h | l; then k runs over the one residue class
     -(l/h)*a*(d/h)^-1 mod n/h (all of them: connected means gcd(h, a) = 1).
+    h and the inverse are computed once for all the lengths.
     """
-    G.require_connected()
-    check_lk(l, 0)
     n, a, d, g = G.n, G.a, G.d, G.g
     h = math.gcd(n, d)
-    if l % h:
-        return []
     step = n // h
-    out = []
-    for k in range(-(l // h) * a * pow(d // h, -1, step) % step, l + 1, step):
-        omega, rest = divmod(l * a + k * d, n)
-        if rest or omega % g:
-            raise InvariantViolated(f"b-count {k} of l={l} on C_{n}({a},{G.b}) is not a class")
-        out.append(OrbitClass(l, k, omega))
-    return out
+    first = -a * pow(d // h, -1, step) % step  # the b-counts at l = h, mod step
+    for l in lengths:
+        if l % h:
+            continue
+        for k in range(l // h * first % step, l + 1, step):
+            omega, rest = divmod(l * a + k * d, n)
+            if rest or omega % g:
+                raise InvariantViolated(f"b-count {k} of l={l} on C_{n}({a},{G.b}) is not a class")
+            yield OrbitClass(l, k, omega)
+
+
+def bcounts_for_length(G: CirculantGraph, l: int) -> list[OrbitClass]:
+    """All admissible orbit classes of length l, sorted by winding number."""
+    G.require_connected()
+    check_lk(l, 0)
+    return list(_classes(G, range(l, l + 1)))
 
 
 def skipped_windings(G: CirculantGraph, l: int) -> list[int]:
@@ -104,7 +111,4 @@ def lattice_points(G: CirculantGraph, l_max: int) -> list[OrbitClass]:
     G.require_connected()
     if l_max < 1:
         raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
-    out = []
-    for l in range(1, l_max + 1):
-        out.extend(bcounts_for_length(G, l))
-    return out
+    return list(_classes(G, range(1, l_max + 1)))

@@ -683,6 +683,63 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv, 
     assert results[0][0] == (0 if {"-h", "--help"} & set(argv.split()) else 2)
 
 
+# Per subcommand: -h, a missing required flag, a non-integer value and a
+# valid argv, with the exit code each gives (None: parsed).
+_STOCK_ARGV = [
+    (f"{name} {rest}", code) for name, missing, bad, valid in (
+        ("count", "--n 21 --a 4 --b 10", "--n 21 --a 4 --b 10 --length x",
+         "--n 21 --a 4 --b 10 --length 15"),
+        ("lattice", "--n 21 --a 4 --b 10", "--n 21 --a x --b 10 --lmax 15",
+         "--n 21 --a 4 --b 10 --lmax 15"),
+        ("lyndon", "count --length 9", "count --length 9 --bcount x",
+         "list --length 9 --bcount 3"),
+        ("enumerate", "--n 9 --a 1 --b 4", "--n 9 --a 1 --b 4 --length 5 --bcount x",
+         "--n 9 --a 1 --b 4 --length 5"),
+        ("verify", "--lmax 3", "--nmax x --lmax 3", "--nmax 3 --lmax 3"),
+        ("graph", "--steps 1,4", "--n x --steps 1,4", "--n 5 --steps 1,4"),
+    ) for rest, code in (("-h", 0), (missing, 2), (bad, 2), (valid, None))
+]
+
+
+def _stock_parse(argv):
+    """argv's subcommand parser as argparse builds it by default, parsing argv[1:]."""
+    for name, _, add_flags, func in cli._COMMANDS:
+        if argv[0] == name:
+            parser = argparse.ArgumentParser(prog=f"circorbits {name}")
+            add_flags(parser)
+            parser.set_defaults(command=name, func=func)
+            return parser.parse_args(argv[1:])
+
+
+def _parse_outcome(parse, argv):
+    """(exit code, stdout, stderr, vars of the namespace) of one parse; code None
+    and a namespace when it parses, else the code and no namespace."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, parsed = None, vars(parse(argv))
+        except SystemExit as exc:
+            code, parsed = exc.code, None
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+@pytest.mark.parametrize("columns", [None, "40", "80", "200"])
+@pytest.mark.parametrize("argv, code", _STOCK_ARGV, ids=[row[0] for row in _STOCK_ARGV])
+def test_help_and_usage_errors_match_stock_argparse(monkeypatch, argv, code, columns):
+    # Independent of build_parser, which would share any change to how the
+    # CLI builds its parsers: the same flags on a parser with argparse's
+    # default formatter must give the same bytes at any terminal width.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    got = _parse_outcome(cli._parse, argv.split())
+    assert got == _parse_outcome(_stock_parse, argv.split())
+    assert got[0] == code
+    if code is not None:
+        assert (got[1] if code == 0 else got[2]).startswith(f"usage: circorbits {argv.split()[0]} ")
+
+
 _FULL = ["circorbits", *(f"circorbits {c[0]}" for c in cli._COMMANDS)]
 _BUILDS = {
     _COUNT: ["circorbits count"],

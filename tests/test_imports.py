@@ -93,3 +93,32 @@ def test_each_command_loads_the_modules_of_its_row(capsys, shares, argv, modules
     shares.force(1)  # in this process, the sweep runs unforked
     assert main(argv.split()) == 0
     assert proc.stdout.decode() == capsys.readouterr().out
+
+
+# Whether a call in a fresh interpreter loads shutil, which argparse imports
+# only to ask for the terminal size. A call that prints no help and no usage
+# error never asks; an empty argv only imports the CLI. The answer is the
+# last line of stderr, after any usage error.
+_SHUTIL = """\
+import sys
+from circorbits.cli import main
+if sys.argv[1:]:
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print("shutil" in sys.modules, file=sys.stderr)
+"""
+SHUTIL = [
+    ("", False),
+    ("count --n 21 --a 4 --b 10 --length 15", False),
+    ("lattice --n 21 --a 4 --b 10 --lmax 15", False),
+    ("lyndon count --length 360 --bcount 240", False),
+    ("count -h", True),
+    ("count --n x", True),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", SHUTIL, ids=[row[0] or "import" for row in SHUTIL])
+def test_only_help_and_usage_errors_load_shutil(argv, loaded):
+    assert fresh(_SHUTIL, *argv.split()).stderr.decode().splitlines()[-1] == str(loaded)

@@ -89,17 +89,24 @@ def test_bcounts_requires_connected_and_positive_length():
         bcounts_for_length(CirculantGraph(12, 2, 4), 6)
     with pytest.raises(RejectedParameters):
         bcounts_for_length(CirculantGraph(5, 1, 4), 0)
+    # A disconnected graph is refused before a bad length, by both entry points.
+    for walk in (bcounts_for_length, lattice_points):
+        with pytest.raises(DisconnectedGraph):
+            walk(CirculantGraph(12, 2, 4), 0)
 
 
 def test_bcounts_for_length_refuses_a_winding_number_off_the_class():
     # Every winding number is a multiple of g = gcd(a, b); correct code
     # cannot break that, so a graph reports a wrong g. On C_21(4,10) at
     # l = 15 the first class is k = 4 with omega = 4, not a multiple of 7.
+    # Both entry points share one walk, and each must reach its check.
     class WrongG(CirculantGraph):
         g = property(lambda self: 7)
 
     with pytest.raises(InvariantViolated, match="is not a class"):
         bcounts_for_length(WrongG(21, 4, 10), 15)
+    with pytest.raises(InvariantViolated, match="is not a class"):
+        lattice_points(WrongG(21, 4, 10), 15)
 
 
 def test_winding_bounds():
@@ -121,10 +128,9 @@ def test_lattice_points_examples():
 
 def test_lattice_points_match_direct_scan():
     for G in (CirculantGraph(7, 1, 3), CirculantGraph(21, 4, 10), CirculantGraph(9, 1, 4)):
-        for l in range(1, 201):
-            expected = closed_lattice_scan(G.n, G.a, G.b, l)
-            got = [(c.k, c.omega) for c in bcounts_for_length(G, l)]
-            assert got == expected, (G, l)
+        expected = [(l, k, omega) for l in range(1, 201)
+                    for k, omega in closed_lattice_scan(G.n, G.a, G.b, l)]
+        assert lattice_points(G, 200) == expected, G
 
 
 def test_bcounts_for_length_equals_the_bcount_scan():
