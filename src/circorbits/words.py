@@ -111,21 +111,19 @@ def count_nonprimitive(l: int, k: int) -> int:
 def list_lyndon(l: int, k: int) -> list[str]:
     """All Lyndon words of length l with b-count k, in lexicographic order.
 
-    For k >= 1 these are the words a^r_0 b ... a^r_{k-1} b whose run list r
-    is a Lyndon word when a longer run is the smaller letter (any other
-    rotation starts with fewer a's). The Fredricksen-Kessler-Maiorana
-    recursion on run lists (the fixed-density form of Ruskey and Sawada),
-    pruned by the a's left and kept on an explicit stack, tries longer runs
-    first and so gives lexicographic order. The work is proportional to
-    the output size l * count_lyndon(l, k); above the counts' budget it refuses.
+    With m = l - k, a letter occurring once gives the one word a^m b^k, and
+    a letter absent gives it only at l = 1. For 2 <= k <= l - 2 these are the
+    words a^r_0 b ... a^r_{k-1} b whose run list r is Lyndon when a longer run
+    is the smaller letter; the Fredricksen-Kessler-Maiorana recursion on run
+    lists (Ruskey-Sawada fixed density), pruned by the a's left on a stack,
+    tries longer runs first, so the order is lexicographic. For every (l, k)
+    work and memory follow l * count_lyndon(l, k); above the budget it refuses.
     """
     check_lk(l, k)
     charge(l * count_lyndon(l, k), f"generating W_2({l},{k}) costs")
-    if k == 0:
-        return ["a"] if l == 1 else []
-    if k == 1:
-        return ["a" * (l - 1) + "b"]
     m = l - k
+    if min(k, m) < 2:
+        return ["a" * m + "b" * k] if min(k, m) == 1 or l == 1 else []
     pieces = ["a" * i + "b" for i in range(m + 1)]
     out = []
     r = [0] * k

@@ -12,8 +12,9 @@ the SHA-256 of stdout and the whole stderr text.
   resource.setrlimit(RLIMIT_AS), as `taskset` and `ulimit -v` would, in the
   child only. verify sweeps on every usable CPU and on one CPU stays in one
   process, so the one-CPU rows pin that its report and its refusal are the
-  same bytes either way. The memory cap pins that one b gives one word,
-  built without a table of l^2/2 bytes.
+  same bytes either way. The memory cap pins that a letter occurring at
+  most once gives at most one word, built without a table of l^2/2 bytes
+  or the run-list search's state of about 115 bytes per letter.
 - `timeout` guards against a hang. The 10 s rows are requests that must be
   answered or refused at once, where earlier versions took seconds or more.
 - A stdout of None is not pinned: help text is argparse's, whose wording
@@ -106,6 +107,12 @@ PINS = [
     Pin("lyndon-list-one-b", "lyndon list --length 100001 --bcount 1", 0,
         "4d068a75dba5a8f2d129558c1c8c95558a0387a16bce02447862d83103b82faa", "",
         mem_kib=1_000_000),
+    # The digest is that of "a" + "b" * 9999999 + "\n".
+    Pin("lyndon-list-one-a", "lyndon list --length 10000000 --bcount 9999999", 0,
+        "7d66ab5ebf7c2e80349e7952dce72ff94b1166f03f32c4b4455f70ba4c47f371", "",
+        mem_kib=1_000_000, timeout=10),
+    Pin("lyndon-list-no-a", "lyndon list --length 10000000000 --bcount 10000000000", 0, EMPTY, "",
+        mem_kib=1_000_000, timeout=10),
     Pin("lyndon-list-steps", "lyndon list --length 9 --bcount 3 --steps 9,1,4", 0,
         "bb3049de2eed86ecfa6959acd0404967b193b1c45450263fdd815071320bd10c", ""),
     Pin("lyndon-list-comma-steps", "lyndon list --length 8 --bcount 3 --steps 21,4,10", 0,

@@ -207,6 +207,17 @@ def test_non_integral_finish_raises_invariant_violated():
     assert _finish(G, 9, 3, 2, [CountTerm(1, 1, 84)]).count == 84
 
 
+def test_negative_winding_number_raises_invariant_violated():
+    # 0 < a < b makes every winding number positive; correct code cannot
+    # break that, so a graph reports d = -b. On C_5(1,2) at l = k = 5 that
+    # gives 5*1 + 5*(-2) = -5 = -1 * n.
+    class NegativeD(CirculantGraph):
+        d = property(lambda self: -self.b)
+
+    with pytest.raises(InvariantViolated, match=r"^winding number -1 < 1 for l=5, k=5$"):
+        count_orbits_lk(NegativeD(5, 1, 2), 5, 5)
+
+
 def _closed_walks_from_counts(G, l):
     # Each primitive orbit of length m | l gives m closed walks of length l.
     return sum(m * count_orbits_l(G, m)[0] for m in divisors(l))

@@ -109,6 +109,15 @@ def test_bcounts_for_length_refuses_a_winding_number_off_the_class():
         lattice_points(WrongG(21, 4, 10), 15)
 
 
+def test_basis_refuses_a_wrong_inverse(monkeypatch):
+    # pow(a', -1, d') is exact, so a modular inverse that is off by one stands
+    # in for a bug: on C_7(1,3) it gives l0 = 0, and 7 - 0 is odd.
+    monkeypatch.setattr("circorbits.lattice.pow", lambda x, e, m: (pow(x, e, m) + 1) % m,
+                        raising=False)
+    with pytest.raises(InvariantViolated, match=r"^basis \(0, 3\) fails for C_7\(1,3\)$"):
+        basis(CirculantGraph(7, 1, 3))
+
+
 def test_winding_bounds():
     G = CirculantGraph(21, 4, 10)
     assert winding_bounds(G, 15) == (3, 7)

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from circorbits import (
     BudgetExceeded,
+    InvariantViolated,
     count_lyndon,
     count_nonprimitive,
     decompose,
@@ -82,6 +83,14 @@ def test_count_lyndon_validates_arguments():
         count_lyndon(3, -1)
 
 
+def test_count_lyndon_refuses_a_sum_that_l_does_not_divide(monkeypatch):
+    # The Moebius sum is always a multiple of l; a binomial of 1 stands in
+    # for a bug, and at (9, 2) the sum is 1.
+    monkeypatch.setattr("circorbits.words.binomial", lambda x, y: 1)
+    with pytest.raises(InvariantViolated, match=r"^non-integer Lyndon count for \(l=9, k=2\)$"):
+        count_lyndon(9, 2)
+
+
 def test_count_nonprimitive_examples():
     assert count_nonprimitive(9, 3) == 3
     assert count_nonprimitive(5, 2) == 0
@@ -156,15 +165,17 @@ def test_list_lyndon_budget(monkeypatch):
     assert len(list_lyndon(9, 3)) == 9
 
 
-def test_list_lyndon_one_b_uses_memory_of_its_output():
-    # The run table of the general case would take about l^2 / 2 bytes.
+@pytest.mark.parametrize("l, k", [(20001, 1), (20001, 20000), (20001, 20001)])
+def test_list_lyndon_one_b_uses_memory_of_its_output(l, k):
+    # A letter that occurs at most once leaves at most one word, built
+    # without the run-list search's state of about 115 bytes per letter.
     tracemalloc.start()
     try:
-        words = list_lyndon(20001, 1)
+        words = list_lyndon(l, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert words == ["a" * 20000 + "b"]
+    assert words == ([] if k == l else ["a" * (l - k) + "b" * k])
     assert peak < 2**20
 
 
