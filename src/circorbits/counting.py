@@ -20,9 +20,9 @@ from collections.abc import Callable, Mapping
 
 from .errors import InvariantViolated, NotLatticePoint
 from .graph import CirculantGraph
-from .lattice import bcounts_for_length
+from .lattice import _classes
 from .numtheory import binomial, block_divisors, moebius_divisors
-from .words import _charge_binomials, _moebius_binomials, check_lk, decompose
+from .words import _charge_binomials, _moebius_binomials, charged, check_lk, decompose
 
 
 CountTerm = namedtuple("CountTerm", "m mu binomial q", defaults=(None,))
@@ -73,8 +73,13 @@ def count_orbits_lk(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
 
 def count_orbits_l(G: CirculantGraph, l: int,
                    counter: Callable = count_orbits_lk) -> tuple[int, list[OrbitCountReport]]:
-    """Total primitive orbits of length l, and counter's report for each admissible b-count."""
-    reports = [counter(G, c.l, c.k) for c in bcounts_for_length(G, l)]
+    """Total primitive orbits of length l and counter's report per b-count class, charged first."""
+    G.require_connected()
+    check_lk(l, 0)
+    bits = l.bit_length()
+    classes = list(charged(_classes(G, range(l, l + 1)), lambda c: min(c.k, l - c.k) * bits,
+                           "binomials of length {0.l} charge", " (sum of min(k, l-k) * bits(l))"))
+    reports = [counter(G, c.l, c.k) for c in classes]
     return sum(r.count for r in reports), reports
 
 

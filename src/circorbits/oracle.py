@@ -24,16 +24,15 @@ size bound and cross-checks against enumeration the reduced counts of
 one count_orbits_l call per length, class by class and in total, the
 reduced/unreduced agreement and the repetition-number law.
 
-The sweep is charged in full before any case runs or any process forks,
-each (graph, length) as enumerate_orbits charges it and each graph as it
-is listed, and the sum of those charges is its work. Its graphs are
-independent, so a sweep of large work is dealt round-robin to one process
-per usable CPU (os.sched_getaffinity, which taskset restricts): share 0
-runs in this process, the others in forked children that pickle their
-results back. Small sweeps, single-CPU hosts, hosts without fork and
-multi-threaded callers sweep in this process alone, as does any sweep
-whose fan-out fails. The report does not depend on the number of
-processes.
+The sweep is charged before any case runs or any process forks, one
+running sum of its (graph, length) cases as enumerate_orbits charges them,
+and that sum is its work. Its graphs are independent, so a sweep of large
+work is dealt round-robin to one process per usable CPU
+(os.sched_getaffinity, which taskset restricts): share 0 runs in this
+process, the others in forked children that pickle their results back.
+Small sweeps, single-CPU hosts, hosts without fork and multi-threaded
+callers sweep in this process alone, as does any sweep whose fan-out
+fails. The report does not depend on the number of processes.
 Instrumentation of calls made inside the children (the bench tracer's
 per-layer spans) is not seen by the caller.
 
@@ -54,7 +53,7 @@ from operator import itemgetter
 from .counting import count_orbits_l, count_orbits_lk_unreduced, predicted_repetition
 from .errors import InvariantViolated, RejectedParameters
 from .graph import CirculantGraph
-from .words import charge, check_lk, resolve_budget
+from .words import charge, charged, check_lk, resolve_budget
 
 
 class Orbit(namedtuple("Orbit", "start steps omega repetition")):
@@ -107,19 +106,6 @@ def phi(G: CirculantGraph, w: str, v: int) -> Orbit:
     return Orbit(key >> l, _steps(key & ((1 << l) - 1), l), omega, repetition)
 
 
-def _enum_cost(G: CirculantGraph, l: int, k: int | None) -> int:
-    """The charge for enumerating length l (b-count k, or every b-count): max(W, l)*n*l."""
-    return max(math.comb(l, k) if k is not None else 1 << l, l) * G.n * l
-
-
-def _charge(G: CirculantGraph, l: int, k: int | None) -> None:
-    """Refuse enumerating length l (b-count k, or every b-count) above the budget."""
-    what = f"enumerating length {l} on C_{G.n}({G.a},{G.b}) costs at least"
-    rule = " (max(W, l)*n*l for W candidate words)"
-    charge(l * l * G.n, what, rule)  # first: C(l, k) alone takes minutes for huge l
-    charge(_enum_cost(G, l, k), what, rule)
-
-
 def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tuple]:
     """(k, omega, x, repetition, keys) for each least word x of a closing b-count.
 
@@ -169,7 +155,10 @@ def _orbit_groups(G: CirculantGraph, l: int,
     call. One b-count's orbits are held at a time.
     """
     check_lk(l, 0 if k is None else k)
-    _charge(G, l, k)
+    what = f"enumerating length {l} on C_{G.n}({G.a},{G.b}) costs at least"
+    rule = " (max(W, l)*n*l for W candidate words)"
+    charge(l * l * G.n, what, rule)  # first: C(l, k) alone takes minutes for huge l
+    charge(max(math.comb(l, k) if k is not None else 1 << l, l) * G.n * l, what, rule)
     for kk, group in groupby(_rotation_classes(G, l, k), itemgetter(0)):
         keys: list[int] = []
         repeated: dict[int, int] = {}
@@ -331,27 +320,23 @@ def verify_range(n_max: int, l_max: int) -> dict:
     rows plus a check per orbit, failing orbits in (b-count, start, steps)
     order. Mismatches are report content; an l_max below 1 is refused.
 
-    The whole sweep is charged before any case runs or any process forks:
-    each case as enumerate_orbits charges it, max(2^l, l)*n*l = n*l << l,
-    so the refusal is that of the first case in sweep order over the
-    budget, and no graph after it is listed. A case's formula checks charge
-    at most l*l/2, below the l*l*n charged first for its enumeration, so
-    none refuses later. The sum of the charges is the work that decides
-    whether large sweeps run on every usable CPU (module docstring); the
-    report is that of one process.
+    The sweep is charged one running sum of n*l << l per case, as
+    enumerate_orbits charges it, in sweep order as the graphs are listed and
+    before any case runs or any process forks, so a refusal names the case
+    the sum passes the budget at, and lists no graph after it. Formula checks
+    charge a length at most l*l/4*bits(l), less than its case: none refuses
+    later. The sum is the work that decides whether the sweep forks.
     """
-    budget = resolve_budget()  # a bad budget is refused before a bad l_max
+    resolve_budget()  # a bad budget is refused before a bad l_max
     if l_max < 1:
         raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
-    graphs, work = [], 0
-    # In sweep order, each graph as it is listed; range is lazy, so a huge
-    # n_max or l_max refuses without listing the graphs or lengths after it.
-    for G in connected_graphs(n_max):
-        for l in range(1, l_max + 1):
-            if (cost := _enum_cost(G, l, None)) > budget:
-                _charge(G, l, None)
-            work += cost
-        graphs.append(G)
+    what = "enumerating the sweep to length {0[1]} on C_{0[0].n}({0[0].a},{0[0].b}) costs at least"
+    rule = " (max(W, l)*n*l for W candidate words, summed over cases)"
+    # In sweep order, each graph kept at its first case; range is lazy, so a
+    # huge n_max or l_max is refused without listing what follows the case.
+    swept = ((G, l) for G in connected_graphs(n_max) for l in range(1, l_max + 1))
+    graphs = [G for G, l in charged(swept, lambda c: c[0].n * c[1] << c[1], what, rule) if l == 1]
+    work = sum(G.n * l << l for G in graphs for l in range(1, l_max + 1))
     cases, mismatches, checks = [], [], 0
     for graph_cases, graph_mismatches, graph_checks in _sweep(graphs, l_max, work):
         cases += graph_cases

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, InvariantViolated, RejectedParameters
 from .numtheory import binomial, moebius_divisors
@@ -38,6 +39,15 @@ def charge(cost: int, what: str, rule: str = "") -> None:
     budget = resolve_budget()
     if cost > budget:
         raise BudgetExceeded(f"{what} {cost} > budget {budget}{rule}")
+
+
+def charged(items: Iterable, cost: Callable, what: str, rule: str = "") -> Iterator:
+    """Yield items until the costs sum past the budget (read once); what.format(item) names it."""
+    budget, total = resolve_budget(), 0
+    for item in items:
+        if (total := total + cost(item)) > budget:
+            raise BudgetExceeded(f"{what.format(item)} {total} > budget {budget}{rule}")
+        yield item
 
 
 def _charge_binomials(l: int, k: int, g: int) -> None:

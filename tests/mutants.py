@@ -1,0 +1,95 @@
+"""The committed mutant table, and a runner that checks the tests kill every mutant.
+
+    python tests/mutants.py
+
+Each row names a module of src/circorbits, an exact fragment of its source,
+the fragment's replacement and the test modules that must fail once the
+replacement is made. For each row the runner copies src/ and tests/ to a
+temporary directory, applies the row there and runs those test modules with
+pytest, stopping at the first failure; the checkout is never edited. It
+fails if a fragment does not occur exactly once in its module, or if a
+mutant survives: its test modules pass, or fail in some other way than a
+failing test (exit code 1), such as an import error.
+
+The unmutated tests must pass (tier-1 checks that), or every mutant looks
+killed. A change that moves or rewords a fragment must update its row.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+Mutant = namedtuple("Mutant", "id module fragment replacement tests")
+
+MUTANTS = [
+    # Invariant guards that correct code cannot reach, each killed by a test
+    # that injects the fault:
+    # test_bcounts_for_length_refuses_a_winding_number_off_the_class,
+    # test_phi_refuses_presentations_that_disagree_with_the_repetition,
+    # test_negative_winding_number_raises_invariant_violated,
+    # test_basis_refuses_a_wrong_inverse and
+    # test_count_lyndon_refuses_a_sum_that_l_does_not_divide.
+    Mutant("class-winding-off-g", "lattice.py", "if rest or omega % g:", "if rest:",
+           ["tests/test_lattice.py"]),
+    Mutant("phi-presentation-count", "oracle.py", "if len(keys) * repetition != l:",
+           "if False:", ["tests/test_oracle.py"]),
+    Mutant("winding-below-1", "counting.py", "if omega < 1:", "if False:",
+           ["tests/test_counting.py"]),
+    Mutant("basis-rest", "lattice.py", "    if rest:\n        raise InvariantViolated(f\"basis",
+           "    if False:\n        raise InvariantViolated(f\"basis", ["tests/test_lattice.py"]),
+    Mutant("lyndon-total-mod-l", "words.py", "if total % l:", "if False:",
+           ["tests/test_words.py"]),
+    # The summed charges of count and verify, undone: count_orbits_l sums
+    # nothing, so only each class's own charge is left, and verify_range
+    # charges each case on its own.
+    Mutant("count-charges-classes-singly", "counting.py", "lambda c: min(c.k, l - c.k) * bits,",
+           "lambda c: 0,", ["tests/test_counting.py"]),
+    Mutant("verify-charges-cases-singly", "oracle.py",
+           "charged(swept, lambda c: c[0].n * c[1] << c[1], what, rule)",
+           "(c for c in swept if charge(c[0].n * c[1] << c[1], what.format(c), rule) is None)",
+           ["tests/test_oracle.py"]),
+]
+
+
+def outcome(mutant: Mutant) -> str:
+    """'killed by' the first failing test, or why the row fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, tmp / tree,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        path = tmp / "src" / "circorbits" / mutant.module
+        source = path.read_text()
+        if source.count(mutant.fragment) != 1:
+            return f"fragment occurs {source.count(mutant.fragment)} times in {mutant.module}"
+        path.write_text(source.replace(mutant.fragment, mutant.replacement))
+        env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                               "no:cacheprovider", *mutant.tests],
+                              cwd=tmp, env=env, capture_output=True, text=True)
+        failed = [line.split()[1] for line in proc.stdout.splitlines()
+                  if line.startswith("FAILED ")]
+        if proc.returncode == 1 and failed:
+            return f"killed by {failed[0]}"
+        last = (proc.stdout + proc.stderr).strip().splitlines()[-1:] or [""]
+        return f"survived (pytest exit {proc.returncode}: {last[0]})"
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        result = outcome(mutant)
+        failed += not result.startswith("killed")
+        print(f"{mutant.id}: {result}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -476,15 +476,25 @@ def test_verify_empty(capsys):
     assert json.loads(out)["graphs"] == 0
 
 
+SWEEP_RULE = " (max(W, l)*n*l for W candidate words, summed over cases)"
+
+
 def test_verify_budget_exits_4_with_the_enumeration_message(capsys, monkeypatch):
-    # C_3(1,2) is swept first; at length 12 it is charged 2**12 * 3 * 12 = 147456
-    monkeypatch.setenv("CIRCORBITS_BUDGET", "100000")
-    with pytest.raises(BudgetExceeded) as excinfo:
-        enumerate_orbits(CirculantGraph(3, 1, 2), 12)
-    code, out, err = run_cli(capsys, "verify", "--nmax", "8", "--lmax", "12")
-    assert (code, out) == (4, "")
-    assert err == f"error: {excinfo.value}\n"
-    assert "enumerating length 12 on C_3(1,2) costs at least 147456 > budget 100000" in err
+    # C_3(1,2) is swept first. Each of its lengths 1..12 is charged as
+    # enumerate charges it, max(2**l, l) * 3 * l, and each fits the budget,
+    # but their running sum passes it at length 12.
+    G, charges = CirculantGraph(3, 1, 2), []
+    for l in range(1, 13):
+        charge = max(2**l, l) * 3 * l
+        monkeypatch.setenv("CIRCORBITS_BUDGET", str(charge - 1))
+        with pytest.raises(BudgetExceeded, match=f" costs at least {charge} > budget "):
+            enumerate_orbits(G, l)
+        charges.append(charge)
+    assert max(charges) < 200000 < sum(charges) == 270342
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "200000")
+    assert run_cli(capsys, "verify", "--nmax", "8", "--lmax", "12") == (
+        4, "", f"error: enumerating the sweep to length 12 on C_3(1,2) costs at least 270342 > "
+               f"budget 200000{SWEEP_RULE}\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -504,14 +514,18 @@ def test_budget_flag_is_a_usage_error(capsys, command):
 
 
 def test_verify_enumeration_and_formulas_read_one_budget(capsys, monkeypatch):
-    # The sweep's first refusal is enumeration's: C_3(1,2) at length 2 is
-    # charged max(2**2, 2) * 3 * 2 = 24. A formula check reading its own
-    # budget would first be refused at (l=12, k=6), charged 6 * bits(12) = 24.
+    # The sweep's one refusal is its summed enumeration charge, checked before
+    # any case or formula check runs: lengths 1 and 2 of C_3(1,2) are charged
+    # 6 + 24 = 30. The formula checks read the same budget: count_orbits_l is
+    # refused under it at length 12 of C_3(1,2), whose classes k = 0, 3, 6
+    # have charged (0 + 3 + 6) * bits(12) = 36 by then.
     monkeypatch.setenv("CIRCORBITS_BUDGET", "20")
     assert run_cli(capsys, "verify", "--nmax", "4", "--lmax", "12") == (
-        4, "", "error: enumerating length 2 on C_3(1,2) costs at least 24 > budget 20 "
-               "(max(W, l)*n*l for W candidate words)\n")
-    for f in (enumerate_orbits, oracle.verify_range, list_lyndon):
+        4, "", f"error: enumerating the sweep to length 2 on C_3(1,2) costs at least 30 > budget 20"
+               f"{SWEEP_RULE}\n")
+    with pytest.raises(BudgetExceeded, match="^binomials of length 12 charge 36 > budget 20 "):
+        counting.count_orbits_l(CirculantGraph(3, 1, 2), 12)
+    for f in (enumerate_orbits, oracle.verify_range, list_lyndon, counting.count_orbits_l):
         assert "budget" not in inspect.signature(f).parameters
     assert not inspect.signature(resolve_budget).parameters
 
@@ -559,13 +573,15 @@ def test_verify_failure_report_is_unchanged_in_every_share_count(capsys, monkeyp
     shares.assert_reaped()
 
 
-# Lengths 1..8 of C_3(1,2), graph 0, are charged at most 2**8 * 3 * 8 = 6144;
-# graph 1, C_4(1,2), is charged 2**8 * 4 * 8 = 8192 at length 8. The ids name
-# the share the refused graph would be swept in; the sweep is charged in full
-# before any case runs, so a refused sweep checks no graph and forks nothing.
+# Lengths 1..7 and 1..8 cost 1538 * n and 3586 * n on C_n(a,b): the sweep's
+# running sum passes 10000 at length 8 of graph 0, C_3(1,2) (10758), and
+# 20000 at length 8 of graph 1, C_4(1,2) (25102), which is swept in a worker
+# share of two and of three. The ids name the share the refused graph would
+# be swept in; the sweep is charged as its graphs are listed, before any
+# case runs, so a refused sweep checks no graph and forks nothing.
 @pytest.mark.parametrize("budget, first", [
-    ("7000", "C_4(1,2) costs at least 8192 > budget 7000"),
-    ("5000", "C_3(1,2) costs at least 6144 > budget 5000"),
+    ("20000", "C_4(1,2) costs at least 25102 > budget 20000"),
+    ("10000", "C_3(1,2) costs at least 10758 > budget 10000"),
 ], ids=["in-a-worker-share", "in-share-0"])
 def test_verify_refusal_is_the_first_in_sweep_order(capsys, monkeypatch, shares,
                                                     budget, first):
@@ -581,8 +597,8 @@ def test_verify_refusal_is_the_first_in_sweep_order(capsys, monkeypatch, shares,
         results.add(run_cli(capsys, "verify", "--nmax", "6", "--lmax", "8"))
         assert len(shares.forked) == 0
         shares.assert_reaped()
-    assert results == {(4, "", f"error: enumerating length 8 on {first} "
-                                "(max(W, l)*n*l for W candidate words)\n")}
+    assert results == {(4, "", f"error: enumerating the sweep to length 8 on {first}"
+                                f"{SWEEP_RULE}\n")}
 
 
 def test_graph_dot(capsys):

@@ -51,18 +51,23 @@ def error(line: str) -> str:
 
 
 ENUMERATION = " (max(W, l)*n*l for W candidate words)"
+SWEEP = " (max(W, l)*n*l for W candidate words, summed over cases)"
+CLASSES = " (sum of min(k, l-k) * bits(l))"
 USAGE_ERROR = ("usage: circorbits [-h] {count,lattice,lyndon,enumerate,verify,graph} ...\n"
                "circorbits: error: unrecognized arguments: extra\n")
 # Rows that must print the same bytes share one constant.
+COUNT_21_4_10_15 = "8b4ce7381871a01ddb462fdeb197bb13530307ffb0b7e2e90202b1f68fc9e2f1"
 LYNDON_9_3 = "2f23c64c485f5d58e7a36901d5110f20f4015f4cecbede282a2034523b7768d5"
 VERIFY_7_8 = "77f83405b511f462ac9d3625bc1d094e64c22967c41810f5f2749f868c1e61eb"
-VERIFY_6_8_AT_7000 = error(f"enumerating length 8 on C_4(1,2) costs at least 8192 > budget 7000"
-                           f"{ENUMERATION}")
+VERIFY_6_8_AT_7000 = error(f"enumerating the sweep to length 8 on C_3(1,2) costs at least 10758 > "
+                           f"budget 7000{SWEEP}")
 
 PINS = [
     # Answers: exit 0, nothing on stderr.
-    Pin("count-json", "count --n 21 --a 4 --b 10 --length 15", 0,
-        "8b4ce7381871a01ddb462fdeb197bb13530307ffb0b7e2e90202b1f68fc9e2f1", ""),
+    Pin("count-json", "count --n 21 --a 4 --b 10 --length 15", 0, COUNT_21_4_10_15, ""),
+    # Its classes (15,4) and (15,11) are charged 16 each, summed: 32 fits.
+    Pin("count-json-budget-32", "count --n 21 --a 4 --b 10 --length 15", 0, COUNT_21_4_10_15, "",
+        env={"CIRCORBITS_BUDGET": "32"}),
     Pin("count-plain", "count --n 21 --a 4 --b 10 --length 15 --format plain", 0,
         "17edeedd714e025a443974ebb36ece935d1ecfa85dd42274c53cd10f3d6f59ec", ""),
     Pin("count-json-skipped", "count --n 21 --a 4 --b 10 --length 15 --show-skipped", 0,
@@ -209,15 +214,29 @@ PINS = [
         error("l_max must be >= 1, got 0")),
     Pin("verify-negative-lmax", "verify --nmax 5 --lmax -2", 2, EMPTY,
         error("l_max must be >= 1, got -2")),
-    # verify charges its whole sweep before any case runs, so a sweep with an
-    # over-budget case is refused at once, and a huge --lmax without listing
-    # its lengths.
+    # count charges a length's classes one sum, min(k, l-k) * bits(l) each,
+    # before any binomial: 16 + 16 = 32 here, and past the default budget
+    # within the first few thousand of C_3(1,2)'s 3.3 million classes.
+    Pin("count-budget-31", "count --n 21 --a 4 --b 10 --length 15", 4, EMPTY,
+        error(f"binomials of length 15 charge 32 > budget 31{CLASSES}"),
+        env={"CIRCORBITS_BUDGET": "31"}),
+    Pin("count-dense-huge-length", "count --n 3 --a 1 --b 2 --length 10000000", 4, EMPTY,
+        error(f"binomials of length 10000000 charge 268533768 > budget 268435456{CLASSES}"),
+        mem_kib=1_000_000, timeout=10),
+    # verify charges its sweep one running sum of its cases, n * l << l each,
+    # as the graphs are listed and before any case runs. So a sweep is refused
+    # at the case the sum passes the budget at, a huge --lmax without listing
+    # its lengths, and a sweep of many small graphs without listing the graphs
+    # after it (940k listed here, of billions).
     Pin("verify-over-budget", "verify --nmax 13 --lmax 20", 4, EMPTY,
-        error(f"enumerating length 20 on C_13(1,2) costs at least 272629760 > budget 268435456"
-              f"{ENUMERATION}"), timeout=10),
+        error(f"enumerating the sweep to length 20 on C_4(1,2) costs at least 278921230 > "
+              f"budget 268435456{SWEEP}"), timeout=10),
     Pin("verify-huge-lmax", "verify --nmax 3 --lmax 1000000000", 4, EMPTY,
-        error(f"enumerating length 22 on C_3(1,2) costs at least 276824064 > budget 268435456"
-              f"{ENUMERATION}"), timeout=10),
+        error(f"enumerating the sweep to length 22 on C_3(1,2) costs at least 528482310 > "
+              f"budget 268435456{SWEEP}"), timeout=10),
+    Pin("verify-many-graphs", "verify --nmax 3000 --lmax 1", 4, EMPTY,
+        error(f"enumerating the sweep to length 1 on C_190(120,127) costs at least 268435750 > "
+              f"budget 268435456{SWEEP}"), mem_kib=1_000_000, timeout=30),
     Pin("verify-budget-7000", "verify --nmax 6 --lmax 8", 4, EMPTY, VERIFY_6_8_AT_7000,
         env={"CIRCORBITS_BUDGET": "7000"}),
     Pin("verify-budget-7000-one-cpu", "verify --nmax 6 --lmax 8", 4, EMPTY, VERIFY_6_8_AT_7000,

@@ -1,6 +1,8 @@
+import itertools
 import math
 import os
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -21,10 +23,12 @@ from circorbits import (
     count_orbits_l,
     count_orbits_lk,
     count_orbits_lk_unreduced,
+    counting,
     divisors,
     numtheory,
     predicted_repetition,
     sum_reduction_check,
+    words,
 )
 from circorbits.counting import OrbitCountReport, _finish
 
@@ -329,6 +333,65 @@ def test_each_moebius_sum_factors_its_gcd_once(monkeypatch):
     lhs, rhs = sum_reduction_check(120, 9, f)
     assert lhs == rhs
     assert calls == [120, 3]
+
+
+@st.composite
+def _small_connected_graph_and_length(draw):
+    n = draw(st.integers(min_value=3, max_value=30), label="n")
+    a = draw(st.integers(min_value=1, max_value=n - 2), label="a")
+    b = draw(st.integers(min_value=a + 1, max_value=n - 1), label="b")
+    assume(math.gcd(n, a, b) == 1)
+    return CirculantGraph(n, a, b), draw(st.integers(1, 200), label="l")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_connected_graph_and_length(), st.data())
+def test_count_orbits_l_charges_the_sum_of_its_classes(case, data):
+    # count_orbits_l refuses exactly when min(k, l-k) * bits(l), summed over
+    # the length's classes, is over the budget, naming the running sum at the
+    # class that passes it. Otherwise it answers as count_orbits_lk does class
+    # by class, whose own charges (isqrt(gcd) at k = 0 or l) still apply.
+    G, l = case
+    classes = bcounts_for_length(G, l)
+    charges = [min(c.k, l - c.k) * l.bit_length() for c in classes]
+    total = sum(charges)
+    budget = data.draw(st.one_of(st.integers(1, 40_000),
+                                 st.sampled_from([max(total - 1, 1), max(total, 1)])),
+                       label="budget")
+    with mock.patch.dict(os.environ, {"CIRCORBITS_BUDGET": str(budget)}):
+        if total > budget:
+            passed = next(s for s in itertools.accumulate(charges) if s > budget)
+            with pytest.raises(BudgetExceeded) as refused:
+                count_orbits_l(G, l)
+            assert str(refused.value) == (
+                f"binomials of length {l} charge {passed} > budget {budget} "
+                f"(sum of min(k, l-k) * bits(l))")
+            return
+        try:
+            expected = [count_orbits_lk(G, l, c.k) for c in classes]
+        except BudgetExceeded as exc:
+            with pytest.raises(BudgetExceeded) as refused:
+                count_orbits_l(G, l)
+            assert str(refused.value) == str(exc)
+        else:
+            assert count_orbits_l(G, l) == (sum(r.count for r in expected), expected)
+
+
+def test_count_orbits_l_refuses_a_huge_dense_length_before_any_binomial(monkeypatch):
+    # C_3(1,2) has a class at every third b-count, about 3.3 * 10**11 of them
+    # at l = 10**12. Their summed charge passes the default budget within the
+    # first few thousand, so neither the class list nor a binomial is built.
+    def no_binomial(*args):
+        raise AssertionError("a binomial was built")
+
+    monkeypatch.setattr(words, "binomial", no_binomial)
+    monkeypatch.setattr(counting, "binomial", no_binomial)
+    monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^binomials of length 1000000000000 charge \d+ > "
+                                             r"budget 268435456 "):
+        count_orbits_l(CirculantGraph(3, 1, 2), 10**12)
+    assert time.perf_counter() - started < 1
 
 
 @settings(max_examples=50, deadline=None)

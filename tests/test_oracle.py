@@ -227,12 +227,17 @@ def test_verify_range_refuses_l_max_below_1(monkeypatch, l_max):
         verify_range(5, l_max)
 
 
+SWEEP_RULE = " (max(W, l)*n*l for W candidate words, summed over cases)"
+
+
 def test_verify_range_with_a_huge_l_max_refuses_or_ends_at_once(monkeypatch):
+    # The lengths are charged one by one: 3 * (21 * 2**23 + 2) by length 22.
     monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
     started = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=r"^enumerating length 22 on C_3\(1,2\) costs "
-                       r"at least 276824064 > budget 268435456 "):
+    with pytest.raises(BudgetExceeded) as refused:
         verify_range(3, 10**12)
+    assert str(refused.value) == ("enumerating the sweep to length 22 on C_3(1,2) costs at least "
+                                  f"528482310 > budget 268435456{SWEEP_RULE}")
     assert verify_range(2, 10**12)["graphs"] == 0
     assert time.perf_counter() - started < 5  # the lengths are not listed up front
 
@@ -271,12 +276,12 @@ def test_verify_sums_each_swept_class_once(shares, monkeypatch):
 def test_verify_reports_a_class_missing_from_the_class_list(monkeypatch):
     # C_5(1,2) has 5 primitive orbits of length 4, all of b-count 1. A class
     # list without (4, 1) fails that class's row as well as the length total.
-    listed = counting.bcounts_for_length
+    listed = counting._classes
 
-    def without_4_1(G, l):
-        return [c for c in listed(G, l) if (G.n, G.a, G.b, c.l, c.k) != (5, 1, 2, 4, 1)]
+    def without_4_1(G, lengths):
+        return (c for c in listed(G, lengths) if (G.n, G.a, G.b, c.l, c.k) != (5, 1, 2, 4, 1))
 
-    monkeypatch.setattr(counting, "bcounts_for_length", without_4_1)
+    monkeypatch.setattr(counting, "_classes", without_4_1)
     case = {"n": 5, "a": 1, "b": 2, "l": 4}
     assert verify_range(5, 5)["mismatches"] == [
         {**case, "kind": "reduced-vs-oracle", "expected": "0", "actual": "5", "k": 1},
@@ -461,49 +466,65 @@ def test_fork_work_is_the_sum_of_the_case_charges(monkeypatch):
     assert [s for s, w in zip(sweeps[:-1], work) if w <= oracle._FORK_MIN_WORK] == [(5, 7)]
 
 
+def _listing(graphs, listed):
+    """connected_graphs for a sweep that records each graph it lists."""
+    def connected(n_max):
+        for G in graphs(n_max):
+            listed.append(G)
+            yield G
+    return connected
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10**6), st.integers(0, 8), st.integers(1, 14))
 def test_verify_refuses_the_first_case_enumeration_refuses(budget, n_max, l_max):
+    # The sweep's charge is the running sum, case by case in sweep order, of
+    # every case as enumerate_orbits charges it, max(2^l, l)*n*l. It refuses
+    # at the first case that takes the sum past the budget, lists no graph
+    # after that case's and checks none.
+    graphs = list(connected_graphs(n_max))
+    first, total = None, 0
+    for i, G in enumerate(graphs):
+        for l in range(1, l_max + 1):
+            total += max(2**l, l) * G.n * l
+            if first is None and total > budget:
+                first = (i, f"enumerating the sweep to length {l} on C_{G.n}({G.a},{G.b}) costs "
+                            f"at least {total} > budget {budget}{SWEEP_RULE}")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("CIRCORBITS_BUDGET", str(budget))
-        # only the charges run: no case is enumerated or checked
-        mp.setattr(oracle, "_rotation_classes", lambda G, l, k: iter(()))
-        mp.setattr(oracle, "_sweep", lambda graphs, l_max, work: [])
-        first = None
-        for G in connected_graphs(n_max):
-            for l in range(1, l_max + 1):
-                try:
-                    enumerate_orbits(G, l)
-                except BudgetExceeded as exc:
-                    first = str(exc)
-                    break
-            if first:
-                break
+        listed = []
+        mp.setattr(oracle, "connected_graphs", _listing(connected_graphs, listed))
+        mp.setattr(oracle, "_sweep", lambda graphs, l_max, work: [])  # no case is checked
         if first is None:
             assert verify_range(n_max, l_max)["passed"]
+            assert listed == graphs
         else:
             with pytest.raises(BudgetExceeded) as refused:
                 verify_range(n_max, l_max)
-            assert str(refused.value) == first
+            assert str(refused.value) == first[1]
+            assert listed == graphs[:first[0] + 1]
 
 
 def test_verify_charges_each_graph_as_it_is_listed(monkeypatch):
-    # C_3(1,2), the first graph, is refused at length 22, so the sweep must
-    # not list the other connected graphs up to 200 (seconds and 100 MB).
-    listed = oracle.connected_graphs
-
-    def first_graph_only(n_max):
-        graphs = listed(n_max)
-        yield next(graphs)
-        raise AssertionError("a second graph was listed")
-
-    monkeypatch.setattr(oracle, "connected_graphs", first_graph_only)
+    # The default budget refuses C_3(1,2), the first graph, at length 22, so
+    # the sweep must not list the other connected graphs up to 200 (seconds
+    # and 100 MB). Under a budget of 1000 at l_max = 1 each graph adds 2n, and
+    # the running sum first passes it at the 69th graph, C_9(3,8).
+    listed = []
+    monkeypatch.setattr(oracle, "connected_graphs", _listing(connected_graphs, listed))
     monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
     with pytest.raises(BudgetExceeded) as refused:
         verify_range(200, 30)
     assert str(refused.value) == (
-        "enumerating length 22 on C_3(1,2) costs at least 276824064 > budget 268435456 "
-        "(max(W, l)*n*l for W candidate words)")
+        "enumerating the sweep to length 22 on C_3(1,2) costs at least 528482310 > "
+        f"budget 268435456{SWEEP_RULE}")
+    assert listed == [CirculantGraph(3, 1, 2)]
+    listed.clear()
+    monkeypatch.setenv("CIRCORBITS_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded, match=r"^enumerating the sweep to length 1 on C_9\(3,8\) "
+                                             r"costs at least 1002 > budget 1000 "):
+        verify_range(200, 1)
+    assert len(listed) == 69 and sum(2 * G.n for G in listed) == 1002
 
 
 def test_interrupted_parent_kills_and_reaps_its_workers(shares, monkeypatch):
