@@ -14,6 +14,8 @@ Residue-gap rule, O(l + n) per word: the circuit (v, x) is presented at
 and best[r] is the least rotation reached at r. With residues 0 = r_0 <
 ... < r_m and r_{-1} = r_m - n, the starts whose least vertex u comes from
 r_j have u in range(r_j - r_{j-1}); x's orbits are {(u << l) | best[r_j]}.
+One walk of a candidate's rotations stops at the first one below it, or
+else fills best and counts the repetition.
 
 _orbit_groups yields the sorted keys of one closing b-count at a time;
 enumerate_orbits turns them into Orbits, and the CLI writes its lines
@@ -68,6 +70,7 @@ class Orbit(namedtuple("Orbit", "start steps omega repetition")):
 def _circuit(G: CirculantGraph, l: int, x: int) -> tuple[list[int], list[int], int]:
     """Rotations, prefix residues and repetition of a circuit with l-letter word x.
 
+    Only phi uses it; enumeration walks the rotations in _rotation_classes.
     Letter i of x is bit l-1-i ('b' = 1), so integer order is lexicographic
     order. res[s] is the distance the first s steps walk, mod n, and the
     circuit (v, x) is also ((v + res[s]) % n, rots[s]); the number of s
@@ -110,9 +113,9 @@ def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tupl
     """(k, omega, x, repetition, keys) for each least word x of a closing b-count.
 
     keys holds the canonical keys of the orbits of x's rotation class,
-    from x's residue gaps (see the module docstring).
+    from one walk of x's rotations and prefix residues (module docstring).
     """
-    n, top, mask = G.n, l - 1, (1 << l) - 1
+    n, a, b, top, mask, above = G.n, G.a, G.b, l - 1, (1 << l) - 1, 1 << l
     inner = [1 << i for i in range(1, top)]
     for kk in range(l + 1) if k is None else [k]:
         omega, rest = divmod(l * G.a + kk * G.d, n)
@@ -123,25 +126,23 @@ def _rotation_classes(G: CirculantGraph, l: int, k: int | None) -> Iterator[tupl
         words = ((sum(c, 1) for c in combinations(inner, kk - 1)) if 0 < kk < l
                  else [mask if kk else 0])
         for x in words:
-            # x is least among its rotations iff the first rotation that
-            # is not larger than x is x itself.
-            y = x
+            best, y, d, repetition = {}, x, 0, 0  # rotation y of x is at residue d
             for _ in range(l):
-                y = ((y << 1) & mask) | (y >> top)
-                if y <= x:
+                if y < best.get(d, above):
+                    best[d] = y
+                if y == x and d == 0:
+                    repetition += 1
+                letter = y >> top
+                d = (d + (b if letter else a)) % n
+                y = ((y << 1) & mask) | letter
+                if y < x:
                     break
-            if y < x:
-                continue
-            rots, res, repetition = _circuit(G, l, x)
-            best: dict[int, int] = {}
-            for d, r in zip(res, rots):
-                if r < best.get(d, mask + 1):
-                    best[d] = r
-            up = sorted(best)
-            keys: set[int] = set()
-            for d, below in zip(up, [up[-1] - n] + up[:-1]):
-                keys.update(range(best[d], (d - below) << l, 1 << l))
-            yield kk, omega, x, repetition, keys
+            else:
+                up = sorted(best)
+                keys: set[int] = set()
+                for d, below in zip(up, [up[-1] - n] + up[:-1]):
+                    keys.update(range(best[d], (d - below) << l, 1 << l))
+                yield kk, omega, x, repetition, keys
 
 
 def _orbit_groups(G: CirculantGraph, l: int,
@@ -173,14 +174,12 @@ def _orbit_groups(G: CirculantGraph, l: int,
 def enumerate_orbits(G: CirculantGraph, l: int, k: int | None = None) -> list[Orbit]:
     """All distinct periodic orbits of length l (restricted to b-count k if given).
 
-    The list form of _orbit_groups: walks the words of each closing
-    b-count, keeps those least among their rotations and takes their
-    orbits' canonical presentations from every start at once: the starts
-    in the gap below a sorted prefix residue have their least vertex there
-    (module docstring). Output is sorted by (b-count, start, steps):
-    b-counts come in increasing order with one omega each, and within a
-    b-count the canonical keys are sorted as plain ints. Connectivity is
-    not required.
+    The list form of _orbit_groups: one walk of each closing word's
+    rotations keeps the least words and their orbits' canonical
+    presentations from every start at once (module docstring). Output is
+    sorted by (b-count, start, steps): b-counts come in increasing order
+    with one omega each, and within a b-count the canonical keys are
+    sorted as plain ints. Connectivity is not required.
 
     Time grows as about W * (l + n) for W candidate words, C(l, k) or 2**l;
     the budget still charges max(W, l) * n * l and refuses above it.
@@ -239,11 +238,13 @@ def _check_graph(G: CirculantGraph, l_max: int) -> tuple[list, list, int]:
 
 
 # A sweep forks only when its work, the sum of the charges verify_range
-# makes for its cases, max(2^l, l)*n*l each, is above this. A fork and join
-# costs about 2 ms. Two processes against one on a 2-vCPU host, CPython 3.11.7,
-# medians of 11 interleaved runs: every sweep under 3e4 lost ((5,5) 4.9 ->
-# 6.4 ms), (5,7) at 6.9e4 drew (8.6 vs 8.3 ms, 6 wins of 11), and from
-# 1.5e5 every sweep won ((9,5) 25.3 -> 18.3 ms, (8,8) 48.4 -> 31.8 ms).
+# makes for its cases, max(2^l, l)*n*l each, is above this; a fork and join
+# costs about 2 ms. Two processes against one, CPython 3.11.7, medians of 11
+# interleaved runs, on 2 vCPUs: under 3e4 every sweep lost ((5,5) 4.9 -> 6.4 ms),
+# (5,7) at 6.9e4 drew (8.6 vs 8.3 ms) and from 1.5e5 every sweep won ((9,5)
+# 25.3 -> 18.3 ms, (8,8) 48.4 -> 31.8 ms). With one rotation walk per word, on 2
+# vCPUs that ran one process at a time, all four lost ((5,5) 2.8 -> 6.4, (5,7)
+# 5.3 -> 8.9, (9,5) 15.6 -> 20.7, (8,8) 32.0 -> 37.3 ms), so no break-even shows.
 _FORK_MIN_WORK = 100_000
 
 

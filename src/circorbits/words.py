@@ -126,8 +126,9 @@ def list_lyndon(l: int, k: int) -> list[str]:
     words a^r_0 b ... a^r_{k-1} b whose run list r is Lyndon when a longer run
     is the smaller letter; the Fredricksen-Kessler-Maiorana recursion on run
     lists (Ruskey-Sawada fixed density), pruned by the a's left on a stack,
-    tries longer runs first, so the order is lexicographic. For every (l, k)
-    work and memory follow l * count_lyndon(l, k); above the budget it refuses.
+    tries longer runs first, so the order is lexicographic, and places the
+    last run, forced to take the a's left, directly. For every (l, k) work and
+    memory follow l * count_lyndon(l, k); above the budget it refuses.
     """
     check_lk(l, k)
     charge(l * count_lyndon(l, k), f"generating W_2({l},{k}) costs")
@@ -150,15 +151,15 @@ def list_lyndon(l: int, k: int) -> list[str]:
         # Repeating the run one period back keeps the period; a shorter
         # run makes r[:t+1] a Lyndon word.
         p = 1 if t == 0 else period[t] if v == r[t - period[t]] else t + 1
-        if t + 1 == k:
-            if p == k:
-                out.append("".join([pieces[i] for i in r]))
+        rest = left[t] - v
+        if t + 2 == k:
+            if rest < r[t + 1 - p]:  # the last run, placed directly
+                out.append("".join([pieces[i] for i in r[:-1]]) + pieces[rest])
             continue
         period[t + 1] = p
-        left[t + 1] = rest = left[t] - v
-        # The last run takes the a's left; the others leave no more than
-        # the runs after them can hold at r[0] each.
-        lo = rest if t + 2 == k else max(0, rest - r[0] * (k - t - 2))
+        left[t + 1] = rest
+        # No run leaves more a's than the runs after it hold at r[0] each.
+        lo = max(0, rest - r[0] * (k - t - 2))
         stack.append(iter(range(min(r[t + 1 - p], rest), lo - 1, -1)))
     return out
 

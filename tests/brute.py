@@ -73,6 +73,12 @@ def lyndon_words_direct(l, k):
     return sorted(out)
 
 
+def step_string(w, a, b):
+    """w in the step notation of steps (a, b), letter by letter: the steps run
+    together when b <= 9 and are comma-separated otherwise."""
+    return ("" if b <= 9 else ",").join(str(a if c == "a" else b) for c in w)
+
+
 def walk(n, a, b, v, w):
     """Vertices of the walk from v with step word w on C_n(a, b): the start, then one per letter.
 

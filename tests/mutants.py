@@ -54,6 +54,17 @@ MUTANTS = [
            "charged(swept, lambda c: c[0].n * c[1] << c[1], what, rule)",
            "(c for c in swept if charge(c[0].n * c[1] << c[1], what.format(c), rule) is None)",
            ["tests/test_oracle.py"]),
+    # The one rotation walk per candidate word and the directly placed last
+    # run, each tested one step off: the walk stops at the first rotation
+    # not above x, so it keeps no word; the repetition counts the rotations
+    # equal to x at any residue, the word's and not the circuit's; the last
+    # run may equal the run one period back, so periodic run lists are kept.
+    Mutant("rotation-walk-stops-at-equal", "oracle.py", "if y < x:", "if y <= x:",
+           ["tests/test_oracle.py"]),
+    Mutant("rotation-walk-repetition-any-residue", "oracle.py", "if y == x and d == 0:",
+           "if y == x:", ["tests/test_oracle.py"]),
+    Mutant("lyndon-last-run-may-repeat", "words.py", "if rest < r[t + 1 - p]:",
+           "if rest <= r[t + 1 - p]:", ["tests/test_words.py"]),
 ]
 
 

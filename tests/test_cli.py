@@ -27,7 +27,13 @@ from circorbits import (
 from circorbits.cli import main
 from circorbits.words import DEFAULT_BUDGET, resolve_budget
 
-from brute import naive_divisors, naive_mu
+from brute import (
+    enumerate_orbits_reference,
+    lyndon_words_direct,
+    naive_divisors,
+    naive_mu,
+    step_string,
+)
 
 
 def run_cli(capsys, *argv):
@@ -845,15 +851,45 @@ def _full_parse(argv):
             return exc.code, err.getvalue()
 
 
+def _reference_stdout(args):
+    """The stdout of an answered enumerate or lyndon list request, from tests/brute, else None."""
+    if args["command"] == "enumerate":
+        n, a, b, l = args["n"], args["a"], args["b"], args["length"]
+        orbits = enumerate_orbits_reference(n, a, b, l, args["bcount"])
+        primitive = sum(1 for *_, repetition in orbits if repetition == 1)
+        lines = [json.dumps({"start": start, "steps": step_string(w, a, b), "l": l,
+                             "k": w.count("b"), "omega": omega, "repetition": repetition})
+                 for start, w, omega, repetition in orbits
+                 if repetition == 1 or not args["primitive_only"]]
+        lines.append(json.dumps({"orbits": len(orbits), "primitive": primitive,
+                                 "nonprimitive": len(orbits) - primitive}))
+    elif args["command"] == "lyndon" and args["action"] == "list":
+        lines = lyndon_words_direct(args["length"], args["bcount"])
+        if args["steps"] is not None:
+            _, a, b = map(int, args["steps"].split(","))
+            lines = [step_string(w, a, b) for w in lines]
+    else:
+        return None
+    return "".join(line + "\n" for line in lines)
+
+
 # No deadline: under the largest budget drawn, 10**6, verify --nmax 12 --lmax 12
 # runs in full, in about 0.7 s. The others are invalid (exit 2 wherever a
-# budget is read) or small enough to refuse some requests (exit 4).
+# budget is read) or small enough to refuse some requests (exit 4). The stdout
+# of every answered enumerate and lyndon list request is checked against the
+# string references of tests/brute; the examples make sure some are drawn,
+# with nonprimitive orbits and comma-separated steps.
 @settings(max_examples=500, deadline=None)
 @given(_small_argv(), st.sampled_from(["abc", "0", "10", "1000", str(10**6)]))
+@example("enumerate --n 4 --a 1 --b 3 --length 8".split(), str(10**6))
+@example("enumerate --n 4 --a 1 --b 3 --length 8 --primitive-only".split(), str(10**6))
+@example("enumerate --n 12 --a 3 --b 10 --length 9 --bcount 3".split(), str(10**6))
+@example("lyndon list --length 12 --bcount 4".split(), str(10**6))
+@example("lyndon list --length 10 --bcount 5 --steps 12,1,11".split(), str(10**6))
 def test_every_small_request_is_answered_or_refused(argv, budget):
     full = _full_parse(argv)
-    err = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         mp.setenv("CIRCORBITS_BUDGET", budget)
         try:
@@ -865,6 +901,8 @@ def test_every_small_request_is_answered_or_refused(argv, budget):
     assert vars(cli._parse(argv)) == full
     if code == 0:
         assert err.getvalue() == ""
+        expected = _reference_stdout(full)
+        assert expected is None or out.getvalue() == expected
     else:
         assert code in (2, 3, 4)
         assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")

@@ -20,6 +20,7 @@ from brute import (
     is_lyndon,
     lyndon_words_direct,
     necklace_lyndon_total,
+    step_string,
     string_is_primitive,
 )
 
@@ -239,9 +240,7 @@ def _steps(draw):
 @example("abba", (9, 10))
 @example("b", (3, 10))
 def test_step_string_matches_per_letter_reference(w, steps):
-    a, b = steps
-    expected = ("" if b <= 9 else ",").join(str(a if c == "a" else b) for c in w)
-    assert to_step_string(w, a, b) == expected
+    assert to_step_string(w, *steps) == step_string(w, *steps)
 
 
 @st.composite
