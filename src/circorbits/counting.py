@@ -4,8 +4,8 @@ Two equivalent routes are implemented. The reduced formula counts orbits
 of length l and b-count k as (n/l) * sum of mu(m)*C(l/m, k/m) over the
 common divisors m of l, k and the winding number. The unreduced formula
 splits the same count over word repetition numbers q coprime to the
-winding number: one Lyndon-word block per q, from `block_divisors`,
-as in sum_reduction_check. The brute-force oracle checks both.
+winding number, one Lyndon-word block per q as in sum_reduction_check.
+Both take their terms from `words._moebius_binomials`; the oracle checks both.
 
 All arithmetic keeps the signed divisor sum as an exact integer, then
 multiplies by n and divides by l; integrality of that final division is
@@ -21,8 +21,8 @@ from collections.abc import Callable, Mapping
 from .errors import InvariantViolated, NotLatticePoint
 from .graph import CirculantGraph
 from .lattice import _classes
-from .numtheory import binomial, block_divisors, moebius_divisors
-from .words import _charge_binomials, _moebius_binomials, charged, check_lk, decompose
+from .numtheory import block_divisors
+from .words import _moebius_binomials, charged, check_lk, decompose
 
 
 CountTerm = namedtuple("CountTerm", "m mu binomial q", defaults=(None,))
@@ -67,7 +67,8 @@ def count_orbits_lk(G: CirculantGraph, l: int, k: int) -> OrbitCountReport:
     omega = _winding(G, l, k)
     if omega is None:
         return OrbitCountReport(l, k, None, 0, ())
-    terms = [CountTerm(*t) for t in _moebius_binomials(l, k, math.gcd(l, k, omega))]
+    terms = [CountTerm(m, mu, c)
+             for _, m, mu, c in _moebius_binomials(l, k, math.gcd(l, k, omega), 0)]
     return _finish(G, l, k, omega, terms)
 
 
@@ -92,13 +93,9 @@ def count_orbits_lk_unreduced(G: CirculantGraph, l: int, k: int) -> OrbitCountRe
     """
     omega = _winding(G, l, k)
     if omega is None:
-        raise NotLatticePoint(
-            f"(l={l}, k={k}) is not a lattice point of C_{G.n}({G.a},{G.b})"
-        )
+        raise NotLatticePoint(f"(l={l}, k={k}) is not a lattice point of C_{G.n}({G.a},{G.b})")
     gamma = math.gcd(l, k)
-    _charge_binomials(l, k, gamma)
-    terms = [CountTerm(m, mu, binomial(l // (q * m), k // (q * m)), q=q)
-             for q, m, mu in block_divisors(gamma, omega)]
+    terms = [CountTerm(m, mu, c, q) for q, m, mu, c in _moebius_binomials(l, k, gamma, omega)]
     return _finish(G, l, k, omega, terms)
 
 
@@ -112,7 +109,7 @@ def sum_reduction_check(gamma: int, omega: int, f: Mapping[int, int]) -> tuple[i
     if gamma < 1 or omega < 1:
         raise ValueError(f"gamma and omega must be >= 1, got ({gamma}, {omega})")
     lhs = sum(mu * f[q * s] for q, s, mu in block_divisors(gamma, omega))
-    rhs = sum(mu * f[m] for m, mu in moebius_divisors(math.gcd(gamma, omega)))
+    rhs = sum(mu * f[m] for _, m, mu in block_divisors(math.gcd(gamma, omega), 0))
     return lhs, rhs
 
 

@@ -3,10 +3,9 @@
 Everything here is plain arbitrary-precision integer math; no floating
 point is used anywhere, and every routine stays exact.
 
-`_factor` is the one routine that trial-divides; `divisors`,
-`moebius_divisors` and `block_divisors` each call it once. The reduced
-and Lyndon formulas sum over the (d, mu(d)) pairs of `moebius_divisors`,
-the unreduced one over the (q, m, mu(m)) triples of `block_divisors`.
+`_factor` is the one routine that trial-divides; `divisors` and
+`block_divisors` each call it once. Every formula sums over the (q, m, mu(m))
+triples of `block_divisors`, the reduced and Lyndon ones at omega = 0 (q = 1).
 
 Every count is a Moebius sum of binomials, so `binomial` is the hot path.
 It picks one of two methods from its inputs alone. With y = min(y, x - y),
@@ -48,14 +47,6 @@ def divisors(m: int) -> list[int]:
     for p in _factor(m):
         out |= {d * p for d in out}
     return sorted(out)
-
-
-def moebius_divisors(m: int) -> list[tuple[int, int]]:
-    """The pairs (d, mu(d)) over the squarefree divisors d of m >= 1, d increasing."""
-    pairs = [(1, 1)]
-    for p in set(_factor(m)):
-        pairs += [(d * p, -mu) for d, mu in pairs]
-    return sorted(pairs)
 
 
 def block_divisors(gamma: int, omega: int) -> list[tuple[int, int, int]]:

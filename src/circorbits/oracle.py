@@ -321,23 +321,25 @@ def verify_range(n_max: int, l_max: int) -> dict:
     rows plus a check per orbit, failing orbits in (b-count, start, steps)
     order. Mismatches are report content; an l_max below 1 is refused.
 
-    The sweep is charged one running sum of n*l << l per case, as
-    enumerate_orbits charges it, in sweep order as the graphs are listed and
-    before any case runs or any process forks, so a refusal names the case
-    the sum passes the budget at, and lists no graph after it. Formula checks
-    charge a length at most l*l/4*bits(l), less than its case: none refuses
-    later. The sum is the work that decides whether the sweep forks.
+    Each case costs n*l << l, as enumerate_orbits charges it. The sweep is
+    charged one running sum of those costs in sweep order, before any case
+    runs or any process forks, so a refusal names the case the sum passes
+    the budget at and lists no graph after it; the costs also sum to the
+    work that decides whether the sweep forks. Formula checks charge a
+    length at most l*l/4*bits(l), less than its case: none refuses later.
     """
     resolve_budget()  # a bad budget is refused before a bad l_max
     if l_max < 1:
         raise RejectedParameters(f"l_max must be >= 1, got {l_max}")
     what = "enumerating the sweep to length {0[1]} on C_{0[0].n}({0[0].a},{0[0].b}) costs at least"
     rule = " (max(W, l)*n*l for W candidate words, summed over cases)"
+    def cost(case):  # one (graph, length) case, in both the charge and the work
+        return case[0].n * case[1] << case[1]
     # In sweep order, each graph kept at its first case; range is lazy, so a
     # huge n_max or l_max is refused without listing what follows the case.
     swept = ((G, l) for G in connected_graphs(n_max) for l in range(1, l_max + 1))
-    graphs = [G for G, l in charged(swept, lambda c: c[0].n * c[1] << c[1], what, rule) if l == 1]
-    work = sum(G.n * l << l for G in graphs for l in range(1, l_max + 1))
+    graphs = [G for G, l in charged(swept, cost, what, rule) if l == 1]
+    work = sum(cost((G, l)) for G in graphs for l in range(1, l_max + 1))
     cases, mismatches, checks = [], [], 0
     for graph_cases, graph_mismatches, graph_checks in _sweep(graphs, l_max, work):
         cases += graph_cases

@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, InvariantViolated, RejectedParameters
-from .numtheory import binomial, moebius_divisors
+from .numtheory import binomial, block_divisors
 
 DEFAULT_BUDGET = 2**28
 _BUDGET_ENV = "CIRCORBITS_BUDGET"
@@ -50,9 +50,10 @@ def charged(items: Iterable, cost: Callable, what: str, rule: str = "") -> Itera
         yield item
 
 
-def _charge_binomials(l: int, k: int, g: int) -> None:
-    """Refuse a sum of C(l/m, k/m) over the m | g above the budget.
+def _moebius_binomials(l: int, k: int, g: int, omega: int) -> list[tuple[int, int, int, int]]:
+    """(q, m, mu(m), C(l/qm, k/qm)) for each triple of block_divisors(g, omega), charged first.
 
+    At omega = 0 only q = 1 is coprime to omega: the plain sum over squarefree m | g.
     When 0 < k < l, min(k, l-k) * bits(l) bounds log2 C(l, k), and also the
     isqrt(g) trial divisions that factor g, as g <= min(k, l-k). When k is
     0 or l every binomial is 1, and the charge is those isqrt(g) divisions.
@@ -62,12 +63,8 @@ def _charge_binomials(l: int, k: int, g: int) -> None:
                " (min(k, l-k) * bits(l))")
     else:
         charge(math.isqrt(g), f"factoring gcd {g} of (l={l}, k={k}) costs", " (isqrt(gcd))")
-
-
-def _moebius_binomials(l: int, k: int, g: int) -> list[tuple[int, int, int]]:
-    """(m, mu(m), C(l/m, k/m)) for each squarefree m | g, m increasing, charged first."""
-    _charge_binomials(l, k, g)
-    return [(m, mu, binomial(l // m, k // m)) for m, mu in moebius_divisors(g)]
+    return [(q, m, mu, binomial(l // (q * m), k // (q * m)))
+            for q, m, mu in block_divisors(g, omega)]
 
 
 WordDecomposition = namedtuple("WordDecomposition", "root repetition")
@@ -106,7 +103,7 @@ def count_lyndon(l: int, k: int) -> int:
     divided by l; the division is exact.
     """
     check_lk(l, k)
-    total = sum(mu * c for _, mu, c in _moebius_binomials(l, k, math.gcd(l, k)))
+    total = sum(mu * c for _, _, mu, c in _moebius_binomials(l, k, math.gcd(l, k), 0))
     if total % l:
         raise InvariantViolated(f"non-integer Lyndon count for (l={l}, k={k})")
     return total // l
@@ -115,7 +112,7 @@ def count_lyndon(l: int, k: int) -> int:
 def count_nonprimitive(l: int, k: int) -> int:
     """Number of nonprimitive words of length l with b-count k (inclusion-exclusion)."""
     check_lk(l, k)
-    return -sum(mu * c for m, mu, c in _moebius_binomials(l, k, math.gcd(l, k)) if m > 1)
+    return -sum(mu * c for _, m, mu, c in _moebius_binomials(l, k, math.gcd(l, k), 0) if m > 1)
 
 
 def list_lyndon(l: int, k: int) -> list[str]:

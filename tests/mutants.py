@@ -50,9 +50,8 @@ MUTANTS = [
     # charges each case on its own.
     Mutant("count-charges-classes-singly", "counting.py", "lambda c: min(c.k, l - c.k) * bits,",
            "lambda c: 0,", ["tests/test_counting.py"]),
-    Mutant("verify-charges-cases-singly", "oracle.py",
-           "charged(swept, lambda c: c[0].n * c[1] << c[1], what, rule)",
-           "(c for c in swept if charge(c[0].n * c[1] << c[1], what.format(c), rule) is None)",
+    Mutant("verify-charges-cases-singly", "oracle.py", "charged(swept, cost, what, rule)",
+           "(c for c in swept if charge(cost(c), what.format(c), rule) is None)",
            ["tests/test_oracle.py"]),
     # The one rotation walk per candidate word and the directly placed last
     # run, each tested one step off: the walk stops at the first rotation
@@ -65,6 +64,12 @@ MUTANTS = [
            "if y == x:", ["tests/test_oracle.py"]),
     Mutant("lyndon-last-run-may-repeat", "words.py", "if rest < r[t + 1 - p]:",
            "if rest <= r[t + 1 - p]:", ["tests/test_words.py"]),
+    # The one Moebius sum of every formula: repetition blocks leak into the
+    # reduced and Lyndon sums (omega = 0), or a block's binomial forgets q.
+    Mutant("blocks-at-omega-0", "numtheory.py", "if omega % p", "if True",
+           ["tests/test_words.py"]),
+    Mutant("block-binomial-drops-q", "words.py", "l // (q * m)", "l // m",
+           ["tests/test_counting.py"]),
 ]
 
 

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,10 +29,12 @@ from circorbits.cli import main
 from circorbits.words import DEFAULT_BUDGET, resolve_budget
 
 from brute import (
+    closed_lattice_scan,
     enumerate_orbits_reference,
     lyndon_words_direct,
     naive_divisors,
     naive_mu,
+    scaled_binomial,
     step_string,
 )
 
@@ -851,8 +854,69 @@ def _full_parse(argv):
             return exc.code, err.getvalue()
 
 
+def _count_reference(args):
+    """The stdout lines of an answered count request.
+
+    Classes come from closed_lattice_scan, each class's count from its
+    primitive orbits in enumerate_orbits_reference, the terms from naive
+    divisor scans and scaled_binomial, and the skipped winding numbers from
+    a scan of every winding number up to l*b/n.
+    """
+    n, a, b, l, k, method = (args[key] for key in ("n", "a", "b", "length", "bcount", "method"))
+    primitive = Counter(w.count("b") for _, w, _, repetition
+                        in enumerate_orbits_reference(n, a, b, l, k) if repetition == 1)
+    classes = [(kk, omega) for kk, omega in closed_lattice_scan(n, a, b, l) if k in (None, kk)]
+    reports = []
+    for kk, omega in classes:
+        gamma = math.gcd(l, kk)
+        if method == "unreduced":
+            blocks = [(q, m) for q in naive_divisors(gamma) if math.gcd(q, omega) == 1
+                      for m in naive_divisors(gamma // q)]
+        else:
+            blocks = [(None, m) for m in naive_divisors(math.gcd(gamma, omega))]
+        terms = [({} if q is None else {"q": q}) | {"m": m, "mu": naive_mu(m),
+                                                    "binomial": scaled_binomial(l, kk, (q or 1) * m)}
+                 for q, m in blocks if naive_mu(m)]
+        reports.append({"l": l, "k": kk, "omega": omega, "count": primitive[kk], "terms": terms})
+    if k is not None and not classes:  # the reduced count of a b-count off the lattice
+        reports.append({"l": l, "k": k, "omega": None, "count": 0, "terms": []})
+
+    def as_json(r):
+        terms = [t | {"binomial": str(t["binomial"])} for t in r["terms"]]
+        return {"n": n, "a": a, "b": b, **r, "count": str(r["count"]), "terms": terms,
+                "method": method}
+
+    def as_plain(r, indent):
+        lines = [f"{indent}l={l} k={r['k']} omega={r['omega']} count={r['count']}"]
+        for t in r["terms"]:
+            q = f"q={t['q']} " if "q" in t else ""
+            lines.append(f"{indent}  {q}m={t['m']} mu={t['mu']:+d} binomial={t['binomial']}")
+        return lines
+
+    if k is not None:
+        if args["format"] == "json":
+            return [json.dumps(as_json(reports[0]))]
+        return [f"C_{n}({a},{b}) length {l} b-count {k} method {method}", *as_plain(reports[0], "")]
+    total = sum(r["count"] for r in reports)
+    windings = {omega for _, omega in classes}
+    skipped = [w for w in range(l * b // n + 1) if w * n >= l * a and w not in windings]
+    if args["format"] == "json":
+        obj = {"n": n, "a": a, "b": b, "l": l, "method": method, "total": str(total)}
+        if args["show_skipped"]:
+            obj["skipped_omegas"] = skipped
+        obj["classes"] = [as_json(r) for r in reports]
+        return [json.dumps(obj)]
+    lines = [f"C_{n}({a},{b}) length {l} method {method}"]
+    for r in reports:
+        lines += as_plain(r, "  ")
+    if args["show_skipped"]:
+        lines.append(f"  skipped omegas: {', '.join(map(str, skipped)) or 'none'}")
+    return lines + [f"total {total}"]
+
+
 def _reference_stdout(args):
-    """The stdout of an answered enumerate or lyndon list request, from tests/brute, else None."""
+    """The stdout of an answered enumerate, lyndon list, lyndon count or count request,
+    from tests/brute, else None."""
     if args["command"] == "enumerate":
         n, a, b, l = args["n"], args["a"], args["b"], args["length"]
         orbits = enumerate_orbits_reference(n, a, b, l, args["bcount"])
@@ -868,6 +932,10 @@ def _reference_stdout(args):
         if args["steps"] is not None:
             _, a, b = map(int, args["steps"].split(","))
             lines = [step_string(w, a, b) for w in lines]
+    elif args["command"] == "lyndon":
+        lines = [str(len(lyndon_words_direct(args["length"], args["bcount"])))]
+    elif args["command"] == "count":
+        lines = _count_reference(args)
     else:
         return None
     return "".join(line + "\n" for line in lines)
@@ -876,9 +944,10 @@ def _reference_stdout(args):
 # No deadline: under the largest budget drawn, 10**6, verify --nmax 12 --lmax 12
 # runs in full, in about 0.7 s. The others are invalid (exit 2 wherever a
 # budget is read) or small enough to refuse some requests (exit 4). The stdout
-# of every answered enumerate and lyndon list request is checked against the
-# string references of tests/brute; the examples make sure some are drawn,
-# with nonprimitive orbits and comma-separated steps.
+# of every answered enumerate, lyndon list, lyndon count and count request is
+# checked against the references of tests/brute; the examples make sure some
+# of each are drawn, with nonprimitive orbits, comma-separated steps, skipped
+# winding numbers, both count methods and formats, and a b-count off the lattice.
 @settings(max_examples=500, deadline=None)
 @given(_small_argv(), st.sampled_from(["abc", "0", "10", "1000", str(10**6)]))
 @example("enumerate --n 4 --a 1 --b 3 --length 8".split(), str(10**6))
@@ -886,6 +955,12 @@ def _reference_stdout(args):
 @example("enumerate --n 12 --a 3 --b 10 --length 9 --bcount 3".split(), str(10**6))
 @example("lyndon list --length 12 --bcount 4".split(), str(10**6))
 @example("lyndon list --length 10 --bcount 5 --steps 12,1,11".split(), str(10**6))
+@example("lyndon count --length 12 --bcount 4".split(), str(10**6))
+@example("count --n 6 --a 1 --b 5 --length 12 --show-skipped".split(), str(10**6))
+@example("count --n 6 --a 1 --b 5 --length 12 --method unreduced --show-skipped --format plain"
+         .split(), str(10**6))
+@example("count --n 4 --a 1 --b 3 --length 8 --bcount 4 --method unreduced".split(), str(10**6))
+@example("count --n 4 --a 1 --b 3 --length 8 --bcount 3 --format plain".split(), str(10**6))
 def test_every_small_request_is_answered_or_refused(argv, budget):
     full = _full_parse(argv)
     out, err = io.StringIO(), io.StringIO()

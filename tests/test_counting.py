@@ -384,8 +384,7 @@ def test_count_orbits_l_refuses_a_huge_dense_length_before_any_binomial(monkeypa
     def no_binomial(*args):
         raise AssertionError("a binomial was built")
 
-    monkeypatch.setattr(words, "binomial", no_binomial)
-    monkeypatch.setattr(counting, "binomial", no_binomial)
+    monkeypatch.setattr(words, "binomial", no_binomial)  # the binding _moebius_binomials calls
     monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
     started = time.perf_counter()
     with pytest.raises(BudgetExceeded, match=r"^binomials of length 1000000000000 charge \d+ > "

@@ -1,17 +1,20 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from circorbits import binomial, divisors, numtheory
-from circorbits.numtheory import block_divisors, moebius_divisors
+from circorbits.numtheory import block_divisors
 
 from brute import naive_divisors, naive_mu, pascal_table, scaled_binomial
 
 
+# block_divisors at omega = 0 is the plain Moebius walk: a block q must be
+# coprime to omega, and gcd(q, 0) = q, so q = 1 alone. These tests check it
+# as such, the walk the reduced and Lyndon sums take.
 def _mu(m):
-    """mu(m) from the sign moebius_divisors(m) gives m itself; 0 when m is not squarefree."""
-    d, mu = moebius_divisors(m)[-1]
+    """mu(m) from the sign block_divisors(m, 0) gives m itself; 0 when m is not squarefree."""
+    _, d, mu = block_divisors(m, 0)[-1]
     return mu if d == m else 0
 
 
@@ -27,7 +30,7 @@ def test_moebius_examples():
 def test_moebius_divisor_sums_vanish():
     # sum of mu over the divisors of y is 0 for every y > 1, and 1 at y = 1
     for y in range(1, 10**4 + 1):
-        total = sum(mu for _, mu in moebius_divisors(y))
+        total = sum(mu for _, _, mu in block_divisors(y, 0))
         assert total == (1 if y == 1 else 0), f"divisor sum failed at y={y}"
 
 
@@ -48,37 +51,55 @@ def test_divisors_rejects_zero():
         divisors(0)
 
 
+def _naive_signed(m):
+    """The divisors of m and the (d, mu(d)) pairs of its squarefree ones, by naive scans."""
+    divs = naive_divisors(m)
+    return divs, [(d, mu) for d in divs if (mu := naive_mu(d))]
+
+
 @given(st.integers(min_value=1, max_value=10**4))
-def test_moebius_divisors_match_naive_scan(m):
-    expected = [(d, naive_mu(d)) for d in naive_divisors(m) if naive_mu(d)]
-    assert moebius_divisors(m) == expected
+def test_block_divisors_at_omega_0_match_naive_scan(m):
+    assert block_divisors(m, 0) == [(1, d, mu) for d, mu in _naive_signed(m)[1]]
 
 
-def test_moebius_divisors_examples_and_rejects_nonpositive():
-    assert moebius_divisors(1) == [(1, 1)]
-    assert moebius_divisors(120) == [(1, 1), (2, -1), (3, -1), (5, -1), (6, 1), (10, 1),
-                                     (15, 1), (30, -1)]
+def test_block_divisors_at_omega_0_examples_and_rejects_nonpositive():
+    assert block_divisors(1, 0) == [(1, 1, 1)]
+    assert block_divisors(120, 0) == [(1, 1, 1), (1, 2, -1), (1, 3, -1), (1, 5, -1), (1, 6, 1),
+                                      (1, 10, 1), (1, 15, 1), (1, 30, -1)]
     for m in (0, -4):
         with pytest.raises(ValueError, match=rf"^divisors needs m >= 1, got {m}$"):
-            moebius_divisors(m)
+            block_divisors(m, 0)
 
 
-def _blocks_per_q(gamma, omega):
-    """The unreduced sum's terms by their definition: one Moebius sum per block q."""
-    return [(q, m, mu) for q in divisors(gamma) if math.gcd(q, omega) == 1
-            for m, mu in moebius_divisors(gamma // q)]
+def _from_factorisation(factors):
+    """Divisors and squarefree (d, mu(d)) pairs of prod p**e, built from the exponents."""
+    divs, signed = [1], [(1, 1)]
+    for p, e in factors.items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+        signed += [(d * p, -mu) for d, mu in signed]
+    return sorted(divs), sorted(signed)
 
 
-@pytest.mark.parametrize("gamma, omegas", [
-    (720720, [1, 17, 2, 30, 7 * 11 * 13, 720720]),
-    (2**20, [1, 3, 2, 2**20]),
-    (3**5 * 5**3 * 7, [1, 2, 3, 15, 105]),
+def _blocks_per_q(gamma, omega, divs, signed):
+    """The unreduced sum's terms by their definition, from the divisors and the signed
+    squarefree divisors of gamma: one Moebius sum over the squarefree m | gamma/q per
+    block q coprime to omega."""
+    return [(q, m, mu) for q in divs if math.gcd(q, omega) == 1
+            for m, mu in signed if gamma // q % m == 0]
+
+
+@pytest.mark.parametrize("factors, omegas", [
+    ({2: 4, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1}, [0, 1, 17, 2, 30, 7 * 11 * 13, 720720]),
+    ({2: 20}, [0, 1, 3, 2, 2**20]),
+    ({3: 5, 5: 3, 7: 1}, [0, 1, 2, 3, 15, 105]),
     # 720720 * 50000000021; omega coprime to it gives 480 blocks (checked by size below)
-    (36036000015135120, [6, 30030, 36036000015135120]),
-])
-def test_block_divisors_at_large_gcds(gamma, omegas):
+    ({2: 4, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1, 50000000021: 1}, [0, 6, 30030, 36036000015135120]),
+], ids=["720720", "2^20", "3^5*5^3*7", "36036000015135120"])
+def test_block_divisors_at_large_gcds(factors, omegas):
+    gamma = math.prod(p**e for p, e in factors.items())
     for omega in omegas:
-        assert block_divisors(gamma, omega) == _blocks_per_q(gamma, omega), omega
+        assert block_divisors(gamma, omega) == _blocks_per_q(gamma, omega,
+                                                             *_from_factorisation(factors)), omega
 
 
 def test_block_divisors_of_the_480_block_gcd():
@@ -99,10 +120,12 @@ def _gcd_and_winding(draw):
     return gamma, shared * other
 
 
+# No deadline: the naive scans of a gamma near 10**6 take up to about 0.2 s.
+@settings(deadline=None)
 @given(_gcd_and_winding())
 def test_block_divisors_match_the_blocks_one_by_one(case):
     gamma, omega = case
-    assert block_divisors(gamma, omega) == _blocks_per_q(gamma, omega)
+    assert block_divisors(gamma, omega) == _blocks_per_q(gamma, omega, *_naive_signed(gamma))
 
 
 def test_binomial_examples():
@@ -210,15 +233,6 @@ def test_scaled_binomial_rejects_bad_arguments():
         scaled_binomial(6, 4, 0)
 
 
-def _from_factorisation(factors):
-    """Divisors and squarefree (d, mu(d)) pairs of prod p**e, built from the exponents."""
-    divs, signed = [1], [(1, 1)]
-    for p, e in factors.items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-        signed += [(d * p, -mu) for d, mu in signed]
-    return sorted(divs), sorted(signed)
-
-
 @pytest.mark.parametrize("m, factors", [
     (10**12, {2: 12, 5: 12}),
     (2**40, {2: 40}),
@@ -229,7 +243,7 @@ def test_large_arguments_match_their_factorisation(m, factors):
     divs, signed = _from_factorisation(factors)
     assert math.prod(p**e for p, e in factors.items()) == m
     assert divisors(m) == divs
-    assert moebius_divisors(m) == signed
+    assert block_divisors(m, 0) == [(1, d, mu) for d, mu in signed]
     squarefree = all(e == 1 for e in factors.values())
     assert _mu(m) == ((-1) ** len(factors) if squarefree else 0)
     assert [_mu(d) for d, _ in signed] == [mu for _, mu in signed]

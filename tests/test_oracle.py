@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pickle
+import sys
 import threading
 import time
 from itertools import combinations
@@ -23,10 +24,13 @@ from circorbits import (
     list_lyndon,
     connected_graphs,
     counting,
+    numtheory,
     oracle,
     phi,
     verify_range,
+    words,
 )
+from circorbits.cli import main
 
 from brute import enumerate_orbits_reference, is_lyndon, string_rotations, walk
 
@@ -254,14 +258,15 @@ def test_verify_range_covers_the_84_class():
 
 
 def test_verify_sums_each_swept_class_once(shares, monkeypatch):
-    # One reduced Moebius sum per (graph, length, b-count) class, all from
-    # the one count_orbits_l call of each case; in process, so every call is seen.
+    # One reduced Moebius sum (omega = 0) per (graph, length, b-count) class,
+    # all from the one count_orbits_l call of each case, and one unreduced
+    # sum per class; in process, so every call is seen.
     calls = []
     moebius_binomials = counting._moebius_binomials
 
-    def counting_sum(l, k, g):
-        calls.append((l, k))
-        return moebius_binomials(l, k, g)
+    def counting_sum(l, k, g, omega):
+        calls.append((l, k, omega == 0))
+        return moebius_binomials(l, k, g, omega)
 
     monkeypatch.setattr(counting, "_moebius_binomials", counting_sum)
     shares.force(1)
@@ -269,8 +274,9 @@ def test_verify_sums_each_swept_class_once(shares, monkeypatch):
     assert shares.forked == []
     swept = [(c.l, c.k) for G in connected_graphs(9) for l in range(1, 10)
              for c in bcounts_for_length(G, l)]
-    assert calls == swept
-    assert len(calls) == 620
+    assert [(l, k) for l, k, reduced in calls if reduced] == swept
+    assert len(swept) == 620
+    assert sorted((l, k) for l, k, reduced in calls if not reduced) == sorted(swept)
 
 
 def test_verify_reports_a_class_missing_from_the_class_list(monkeypatch):
@@ -341,6 +347,46 @@ def test_enumerate_every_bcount_is_the_concatenation_of_single_bcounts():
         for l in range(1, 11):
             assert enumerate_orbits(G, l) == [
                 o for k in range(l + 1) for o in enumerate_orbits(G, l, k)], (G, l)
+
+
+def test_enumeration_needs_no_formula_routine(monkeypatch, capsys):
+    # The oracle's independence: with every numtheory function, the Moebius
+    # sums and the Lyndon generator made to raise wherever the package binds
+    # them, enumerate_orbits and the CLI enumerate answer as before.
+    cases = [(CirculantGraph(9, 1, 4), 9, None), (CirculantGraph(4, 1, 3), 8, None),
+             (CirculantGraph(12, 3, 10), 9, 3), (CirculantGraph(10, 2, 5), 10, 0)]
+
+    def answers():
+        out = []
+        for G, l, k in cases:
+            bcount = [] if k is None else ["--bcount", str(k)]
+            code = main(["enumerate", "--n", str(G.n), "--a", str(G.a), "--b", str(G.b),
+                         "--length", str(l), *bcount])
+            out.append((enumerate_orbits(G, l, k), code, capsys.readouterr()))
+        return out
+
+    unpatched = answers()
+
+    def refuse(*args):
+        raise AssertionError("enumeration called a formula routine")
+
+    banned = [f for f in vars(numtheory).values()
+              if callable(f) and getattr(f, "__module__", None) == numtheory.__name__]
+    banned += [words._moebius_binomials, words.list_lyndon]
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "circorbits":
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in banned):
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched.add(f"{name}.{attr}")
+    assert {"circorbits.numtheory.binomial", "circorbits.numtheory.block_divisors",
+            "circorbits.numtheory._factor", "circorbits.words.binomial",
+            "circorbits.words._moebius_binomials", "circorbits.counting._moebius_binomials",
+            "circorbits.words.list_lyndon", "circorbits.cli.list_lyndon"} <= patched
+    with pytest.raises(AssertionError, match="formula routine"):
+        count_lyndon(9, 3)
+    assert answers() == unpatched
 
 
 def test_repetition_law_mismatches_follow_enumeration_order(monkeypatch):
