@@ -3,9 +3,9 @@
 Everything here is plain arbitrary-precision integer math; no floating
 point is used anywhere, and every routine stays exact.
 
-`_factor` is the one routine that trial-divides; `divisors` and
-`block_divisors` each call it once. Every formula sums over the (q, m, mu(m))
-triples of `block_divisors`, the reduced and Lyndon ones at omega = 0 (q = 1).
+`_factor` is the one routine that trial-divides, and `block_divisors` its one
+caller. Every formula sums over the (q, m, mu(m)) triples of `block_divisors`,
+the reduced and Lyndon ones at omega = 0 (q = 1); `divisors` lists the q at omega = 1.
 
 Every count is a Moebius sum of binomials, so `binomial` is the hot path.
 It picks one of two methods from its inputs alone. With y = min(y, x - y),
@@ -41,14 +41,6 @@ def _factor(m: int) -> list[int]:
     return primes + [m] if m > 1 else primes
 
 
-def divisors(m: int) -> list[int]:
-    """All divisors of m >= 1 in increasing order, including 1 and m."""
-    out = {1}
-    for p in _factor(m):
-        out |= {d * p for d in out}
-    return sorted(out)
-
-
 def block_divisors(gamma: int, omega: int) -> list[tuple[int, int, int]]:
     """Sorted (q, m, mu(m)) for each q | gamma coprime to omega and squarefree m | gamma/q."""
     out = {(1, 1, 1)}
@@ -56,6 +48,11 @@ def block_divisors(gamma: int, omega: int) -> list[tuple[int, int, int]]:
         out |= ({(q * p, m, mu) for q, m, mu in out if omega % p}
                 | {(q, m * p, -mu) for q, m, mu in out if m % p})
     return sorted(out)
+
+
+def divisors(m: int) -> list[int]:
+    """All divisors of m >= 1 in increasing order: the q of block_divisors(m, 1), once each."""
+    return [q for q, s, _ in block_divisors(m, 1) if s == 1]
 
 
 @cache

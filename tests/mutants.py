@@ -70,6 +70,10 @@ MUTANTS = [
            ["tests/test_words.py"]),
     Mutant("block-binomial-drops-q", "words.py", "l // (q * m)", "l // m",
            ["tests/test_counting.py"]),
+    # divisors reads the blocks of omega = 1, each q once at m = 1; unfiltered,
+    # a q is listed once per squarefree m | gamma/q.
+    Mutant("divisors-every-block", "numtheory.py", " if s == 1]", "]",
+           ["tests/test_numtheory.py"]),
 ]
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import inspect
 import io
@@ -43,50 +44,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def test_count_headline(capsys):
-    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
-                           "--length", "15")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["total"] == "3822"
-    assert [(c["k"], c["omega"], c["count"]) for c in obj["classes"]] == [
-        (4, 4, "1911"),
-        (11, 6, "1911"),
-    ]
-
-
-def test_count_json_round_trips(capsys):
-    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
-                           "--length", "15", "--show-skipped")
-    assert code == 0
-    assert json.dumps(json.loads(out)) == out.strip()
-    assert json.loads(out)["skipped_omegas"] == [3, 5, 7]
-
-
-def test_count_plain_format(capsys):
-    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
-                           "--length", "15", "--format", "plain", "--show-skipped")
-    assert code == 0
-    assert "total 3822" in out
-    assert "skipped omegas: 3, 5, 7" in out
-
-
-def test_count_methods_agree_on_big_class(capsys):
-    args = ("count", "--n", "440", "--a", "5", "--b", "14",
-            "--length", "360", "--bcount", "240")
-    code, out_red, _ = run_cli(capsys, *args)
-    assert code == 0
-    code, out_unred, _ = run_cli(capsys, *args, "--method", "unreduced")
-    assert code == 0
-    red = json.loads(out_red)
-    unred = json.loads(out_unred)
-    assert red["count"] == unred["count"]
-    expected = 440 * (math.comb(360, 240) - math.comb(120, 80)) // 360
-    assert red["count"] == str(expected)
-    assert sorted({t["q"] for t in unred["terms"]}) == [1, 2, 4, 5, 8, 10, 20, 40]
-    assert all("q" not in t for t in red["terms"])
 
 
 def test_count_total_equals_class_sum(capsys):
@@ -134,25 +91,6 @@ def test_full_length_count_maps_a_counter_value_error_to_exit_2(capsys, monkeypa
     assert (code, out, err) == (2, "", "error: counter refused\n")
 
 
-def test_count_non_lattice_point_reports_zero(capsys):
-    code, out, _ = run_cli(capsys, "count", "--n", "5", "--a", "1", "--b", "4",
-                           "--length", "3", "--bcount", "1")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["count"] == "0"
-    assert obj["omega"] is None
-    assert obj["terms"] == []
-
-
-def test_lattice_csv(capsys):
-    code, out, _ = run_cli(capsys, "lattice", "--n", "21", "--a", "4", "--b", "10",
-                           "--lmax", "15", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "l,k,omega"
-    assert "15,4,4" in lines and "15,11,6" in lines
-
-
 def test_lattice_json(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--n", "7", "--a", "1", "--b", "3",
                            "--lmax", "7")
@@ -164,20 +102,6 @@ def test_lattice_json(capsys):
     }
     assert {"l": 3, "k": 2, "omega": 1} in obj["points"]
     assert json.dumps(obj) == out.strip()
-
-
-def test_lyndon_count_and_list(capsys):
-    code, out, _ = run_cli(capsys, "lyndon", "count", "--length", "9", "--bcount", "3")
-    assert code == 0
-    assert out.strip() == "9"
-
-    code, out, _ = run_cli(capsys, "lyndon", "list", "--length", "9", "--bcount", "3",
-                           "--steps", "9,1,4")
-    assert code == 0
-    assert out.split() == [
-        "111111444", "111114144", "111114414", "111141144", "111141414",
-        "111144114", "111411144", "111411414", "111414114",
-    ]
 
 
 def _moebius_comb_sum(l, k, g):
@@ -320,20 +244,6 @@ def test_invariant_violation_exits_5(capsys, monkeypatch):
                "C_21(4,10), l=15, k=4\n")
 
 
-def test_enumerate_primitive_class(capsys):
-    code, out, _ = run_cli(capsys, "enumerate", "--n", "9", "--a", "1", "--b", "4",
-                           "--length", "9", "--bcount", "3", "--primitive-only")
-    assert code == 0
-    lines = out.strip().splitlines()
-    summary = json.loads(lines[-1])
-    assert summary == {"orbits": 84, "primitive": 84, "nonprimitive": 0}
-    orbit_lines = lines[:-1]
-    assert len(orbit_lines) == 84
-    first = json.loads(orbit_lines[0])
-    assert set(first) == {"start", "steps", "l", "k", "omega", "repetition"}
-    assert all(json.dumps(json.loads(line)) == line for line in lines)
-
-
 def test_enumerate_empty_length(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--a", "1", "--b", "4",
                            "--length", "1")
@@ -341,58 +251,6 @@ def test_enumerate_empty_length(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"orbits": 0, "primitive": 0, "nonprimitive": 0}
-
-
-@pytest.mark.parametrize("with_bcount", [False, True], ids=["every-bcount", "bcount"])
-@pytest.mark.parametrize("primitive_only", [False, True], ids=["all", "primitive-only"])
-@pytest.mark.parametrize("steps", [(9, 1, 4), (12, 1, 10)], ids=["b-below-10", "comma-steps"])
-def test_enumerate_lines_are_json(capsys, steps, primitive_only, with_bcount):
-    # b-count 3 closes at length 9 on both graphs
-    G = CirculantGraph(*steps)
-    argv = ["enumerate", "--n", str(G.n), "--a", str(G.a), "--b", str(G.b), "--length", "9"]
-    argv += ["--bcount", "3"] * with_bcount + ["--primitive-only"] * primitive_only
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    lines = out.splitlines()
-    assert all(json.dumps(json.loads(line)) == line for line in lines)
-    orbits = enumerate_orbits(G, 9, 3 if with_bcount else None)
-    shown = [o for o in orbits if o.is_primitive() or not primitive_only]
-    assert [json.loads(line) for line in lines[:-1]] == [
-        {"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
-         "l": len(o.steps), "k": o.steps.count("b"),
-         "omega": o.omega, "repetition": o.repetition} for o in shown]
-    assert len(shown) > 10
-    assert any("," in json.loads(line)["steps"] for line in lines[:-1]) == (G.b >= 10)
-
-
-# Notation edges: a two-digit a, and b on both sides of the 9/10 switch
-# from concatenated to comma-separated steps.
-@pytest.mark.parametrize("with_bcount", [False, True], ids=["every-bcount", "bcount"])
-@pytest.mark.parametrize("primitive_only", [False, True], ids=["all", "primitive-only"])
-@pytest.mark.parametrize("steps, l, k", [
-    ((23, 10, 13), 8, 4),  # 230 orbits, 46 of them nonprimitive
-    ((20, 3, 9), 14, 3),  # b-counts 3 and 13 both close
-    ((20, 3, 10), 13, 3),
-    ((20, 3, 10), 12, 12),  # only b^12, every orbit nonprimitive
-], ids=["two-digit-a", "b-9", "b-10", "b-10-repeated"])
-def test_enumerate_renders_through_to_step_string(capsys, steps, l, k, primitive_only,
-                                                   with_bcount):
-    G = CirculantGraph(*steps)
-    argv = ["enumerate", "--n", str(G.n), "--a", str(G.a), "--b", str(G.b),
-            "--length", str(l)]
-    argv += ["--bcount", str(k)] * with_bcount + ["--primitive-only"] * primitive_only
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    orbits = enumerate_orbits(G, l, k if with_bcount else None)
-    primitive = sum(o.is_primitive() for o in orbits)
-    expected = [json.dumps({"start": o.start, "steps": to_step_string(o.steps, G.a, G.b),
-                            "l": len(o.steps), "k": o.steps.count("b"), "omega": o.omega,
-                            "repetition": o.repetition})
-                for o in orbits if o.is_primitive() or not primitive_only]
-    expected.append(json.dumps({"orbits": len(orbits), "primitive": primitive,
-                                "nonprimitive": len(orbits) - primitive}))
-    assert out.splitlines() == expected
-    assert len(orbits) >= 10
 
 
 _CONNECTED_24 = list(oracle.connected_graphs(24))
@@ -408,14 +266,28 @@ def _enumerate_request(draw):
     return G, l, k, draw(st.booleans())
 
 
+def _examples(cases):
+    """One Hypothesis @example per case."""
+    return lambda test: functools.reduce(lambda t, case: example(case)(t), cases, test)
+
+
+# Notation edges, each with and without its b-count and --primitive-only: b
+# below 10 and from 10 (concatenated and comma-separated steps), a two-digit a,
+# and b = 9 and 10 at lengths above those drawn; at l = k = 12 every orbit is
+# nonprimitive.
+_ENUMERATE_CASES = [
+    (CirculantGraph(*steps), l, k, primitive_only)
+    for steps, l, bcount in [((9, 1, 4), 9, 3), ((12, 1, 10), 9, 3), ((23, 10, 13), 8, 4),
+                             ((20, 3, 9), 14, 3), ((20, 3, 10), 13, 3), ((20, 3, 10), 12, 12)]
+    for k in (None, bcount) for primitive_only in (False, True)
+]
+
+
 # The CLI writes its lines from orbit keys, the library through Orbit and
 # to_step_string: the two renderings must agree line for line.
 @settings(max_examples=300, deadline=None)
 @given(_enumerate_request())
-@example((CirculantGraph(23, 10, 13), 8, 4, True))  # a two-digit a
-@example((CirculantGraph(20, 3, 9), 10, None, False))  # b = 9: concatenated steps
-@example((CirculantGraph(20, 3, 10), 10, 4, False))  # b = 10: comma-separated steps
-@example((CirculantGraph(20, 3, 10), 10, None, True))
+@_examples(_ENUMERATE_CASES)
 def test_enumerate_lines_follow_the_library_orbits(request):
     G, l, k, primitive_only = request
     argv = ["enumerate", "--n", str(G.n), "--a", str(G.a), "--b", str(G.b),
@@ -611,14 +483,6 @@ def test_verify_refusal_is_the_first_in_sweep_order(capsys, monkeypatch, shares,
 
 
 def test_graph_dot(capsys):
-    code, out, _ = run_cli(capsys, "graph", "--n", "5", "--steps", "1,4")
-    assert code == 0
-    assert out.count("->") == 10
-
-    code, out, _ = run_cli(capsys, "graph", "--n", "8", "--steps", "1,2,3")
-    assert code == 0
-    assert out.count("->") == 24
-
     code, out, _ = run_cli(capsys, "graph", "--n", "12", "--steps", "2,4")
     assert code == 0
     assert out.count("->") == 24
@@ -804,12 +668,15 @@ def _flag(name, value=_INT):
     return value.map(lambda v: [name, v])
 
 
-# Half the graphs are drawn as sorted distinct ints. About half of those
-# pass 0 < a < b < n, so the request reaches the command behind the check.
+# A third of the graphs are drawn as sorted distinct ints, about half of
+# which pass 0 < a < b < n, and a third are connected graphs with n <= 12, so
+# the request reaches the command behind the check.
 _GRAPH = st.one_of(
     st.tuples(_INT, _INT, _INT),
     st.lists(st.integers(-2, 12), min_size=3, max_size=3, unique=True).map(
         lambda v: [str(x) for x in sorted(v, reverse=True)]),
+    st.sampled_from(list(oracle.connected_graphs(12))).map(
+        lambda G: [str(x) for x in sorted(G, reverse=True)]),
 ).map(lambda nba: ["--n", nba[0], "--a", nba[2], "--b", nba[1]])
 # Per subcommand: the argv parts it requires, then the optional ones.
 _GRAMMAR = {
@@ -914,9 +781,15 @@ def _count_reference(args):
     return lines + [f"total {total}"]
 
 
+def _lattice_points(args):
+    """The (l, k, omega) of an answered lattice request, by closed_lattice_scan of each l."""
+    return [(l, k, omega) for l in range(1, args["lmax"] + 1)
+            for k, omega in closed_lattice_scan(args["n"], args["a"], args["b"], l)]
+
+
 def _reference_stdout(args):
-    """The stdout of an answered enumerate, lyndon list, lyndon count or count request,
-    from tests/brute, else None."""
+    """The stdout of an answered enumerate, lyndon list, lyndon count, count or CSV lattice
+    request, from tests/brute, else None."""
     if args["command"] == "enumerate":
         n, a, b, l = args["n"], args["a"], args["b"], args["length"]
         orbits = enumerate_orbits_reference(n, a, b, l, args["bcount"])
@@ -936,6 +809,8 @@ def _reference_stdout(args):
         lines = [str(len(lyndon_words_direct(args["length"], args["bcount"])))]
     elif args["command"] == "count":
         lines = _count_reference(args)
+    elif args["command"] == "lattice" and args["format"] == "csv":
+        lines = ["l,k,omega", *(f"{l},{k},{omega}" for l, k, omega in _lattice_points(args))]
     else:
         return None
     return "".join(line + "\n" for line in lines)
@@ -944,10 +819,11 @@ def _reference_stdout(args):
 # No deadline: under the largest budget drawn, 10**6, verify --nmax 12 --lmax 12
 # runs in full, in about 0.7 s. The others are invalid (exit 2 wherever a
 # budget is read) or small enough to refuse some requests (exit 4). The stdout
-# of every answered enumerate, lyndon list, lyndon count and count request is
-# checked against the references of tests/brute; the examples make sure some
-# of each are drawn, with nonprimitive orbits, comma-separated steps, skipped
-# winding numbers, both count methods and formats, and a b-count off the lattice.
+# of every answered enumerate, lyndon list, lyndon count, count and CSV lattice
+# request, and the points of every JSON lattice answer, are checked against the
+# references of tests/brute; the examples make sure some of each are drawn,
+# with nonprimitive orbits, comma-separated steps, skipped winding numbers,
+# both count methods and formats, and a b-count off the lattice.
 @settings(max_examples=500, deadline=None)
 @given(_small_argv(), st.sampled_from(["abc", "0", "10", "1000", str(10**6)]))
 @example("enumerate --n 4 --a 1 --b 3 --length 8".split(), str(10**6))
@@ -961,6 +837,8 @@ def _reference_stdout(args):
          .split(), str(10**6))
 @example("count --n 4 --a 1 --b 3 --length 8 --bcount 4 --method unreduced".split(), str(10**6))
 @example("count --n 4 --a 1 --b 3 --length 8 --bcount 3 --format plain".split(), str(10**6))
+@example("lattice --n 12 --a 2 --b 5 --lmax 12".split(), str(10**6))
+@example("lattice --n 7 --a 1 --b 3 --lmax 12 --format csv".split(), str(10**6))
 def test_every_small_request_is_answered_or_refused(argv, budget):
     full = _full_parse(argv)
     out, err = io.StringIO(), io.StringIO()
@@ -976,8 +854,12 @@ def test_every_small_request_is_answered_or_refused(argv, budget):
     assert vars(cli._parse(argv)) == full
     if code == 0:
         assert err.getvalue() == ""
-        expected = _reference_stdout(full)
-        assert expected is None or out.getvalue() == expected
+        if full["command"] == "lattice" and full["format"] == "json":  # the basis is not checked
+            assert json.loads(out.getvalue())["points"] == [
+                {"l": l, "k": k, "omega": omega} for l, k, omega in _lattice_points(full)]
+        else:
+            expected = _reference_stdout(full)
+            assert expected is None or out.getvalue() == expected
     else:
         assert code in (2, 3, 4)
         assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")
