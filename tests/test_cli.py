@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import functools
 import hashlib
 import inspect
 import io
@@ -44,6 +43,50 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_count_headline(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
+                           "--length", "15")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["total"] == "3822"
+    assert [(c["k"], c["omega"], c["count"]) for c in obj["classes"]] == [
+        (4, 4, "1911"),
+        (11, 6, "1911"),
+    ]
+
+
+def test_count_json_round_trips(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
+                           "--length", "15", "--show-skipped")
+    assert code == 0
+    assert json.dumps(json.loads(out)) == out.strip()
+    assert json.loads(out)["skipped_omegas"] == [3, 5, 7]
+
+
+def test_count_plain_format(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
+                           "--length", "15", "--format", "plain", "--show-skipped")
+    assert code == 0
+    assert "total 3822" in out
+    assert "skipped omegas: 3, 5, 7" in out
+
+
+def test_count_methods_agree_on_big_class(capsys):
+    args = ("count", "--n", "440", "--a", "5", "--b", "14",
+            "--length", "360", "--bcount", "240")
+    code, out_red, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, out_unred, _ = run_cli(capsys, *args, "--method", "unreduced")
+    assert code == 0
+    red = json.loads(out_red)
+    unred = json.loads(out_unred)
+    assert red["count"] == unred["count"]
+    expected = 440 * (math.comb(360, 240) - math.comb(120, 80)) // 360
+    assert red["count"] == str(expected)
+    assert sorted({t["q"] for t in unred["terms"]}) == [1, 2, 4, 5, 8, 10, 20, 40]
+    assert all("q" not in t for t in red["terms"])
 
 
 def test_count_total_equals_class_sum(capsys):
@@ -91,6 +134,25 @@ def test_full_length_count_maps_a_counter_value_error_to_exit_2(capsys, monkeypa
     assert (code, out, err) == (2, "", "error: counter refused\n")
 
 
+def test_count_non_lattice_point_reports_zero(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "5", "--a", "1", "--b", "4",
+                           "--length", "3", "--bcount", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["count"] == "0"
+    assert obj["omega"] is None
+    assert obj["terms"] == []
+
+
+def test_lattice_csv(capsys):
+    code, out, _ = run_cli(capsys, "lattice", "--n", "21", "--a", "4", "--b", "10",
+                           "--lmax", "15", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "l,k,omega"
+    assert "15,4,4" in lines and "15,11,6" in lines
+
+
 def test_lattice_json(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--n", "7", "--a", "1", "--b", "3",
                            "--lmax", "7")
@@ -102,6 +164,20 @@ def test_lattice_json(capsys):
     }
     assert {"l": 3, "k": 2, "omega": 1} in obj["points"]
     assert json.dumps(obj) == out.strip()
+
+
+def test_lyndon_count_and_list(capsys):
+    code, out, _ = run_cli(capsys, "lyndon", "count", "--length", "9", "--bcount", "3")
+    assert code == 0
+    assert out.strip() == "9"
+
+    code, out, _ = run_cli(capsys, "lyndon", "list", "--length", "9", "--bcount", "3",
+                           "--steps", "9,1,4")
+    assert code == 0
+    assert out.split() == [
+        "111111444", "111114144", "111114414", "111141144", "111141414",
+        "111144114", "111411144", "111411414", "111414114",
+    ]
 
 
 def _moebius_comb_sum(l, k, g):
@@ -244,6 +320,20 @@ def test_invariant_violation_exits_5(capsys, monkeypatch):
                "C_21(4,10), l=15, k=4\n")
 
 
+def test_enumerate_primitive_class(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "9", "--a", "1", "--b", "4",
+                           "--length", "9", "--bcount", "3", "--primitive-only")
+    assert code == 0
+    lines = out.strip().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary == {"orbits": 84, "primitive": 84, "nonprimitive": 0}
+    orbit_lines = lines[:-1]
+    assert len(orbit_lines) == 84
+    first = json.loads(orbit_lines[0])
+    assert set(first) == {"start", "steps", "l", "k", "omega", "repetition"}
+    assert all(json.dumps(json.loads(line)) == line for line in lines)
+
+
 def test_enumerate_empty_length(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--a", "1", "--b", "4",
                            "--length", "1")
@@ -266,30 +356,9 @@ def _enumerate_request(draw):
     return G, l, k, draw(st.booleans())
 
 
-def _examples(cases):
-    """One Hypothesis @example per case."""
-    return lambda test: functools.reduce(lambda t, case: example(case)(t), cases, test)
-
-
-# Notation edges, each with and without its b-count and --primitive-only: b
-# below 10 and from 10 (concatenated and comma-separated steps), a two-digit a,
-# and b = 9 and 10 at lengths above those drawn; at l = k = 12 every orbit is
-# nonprimitive.
-_ENUMERATE_CASES = [
-    (CirculantGraph(*steps), l, k, primitive_only)
-    for steps, l, bcount in [((9, 1, 4), 9, 3), ((12, 1, 10), 9, 3), ((23, 10, 13), 8, 4),
-                             ((20, 3, 9), 14, 3), ((20, 3, 10), 13, 3), ((20, 3, 10), 12, 12)]
-    for k in (None, bcount) for primitive_only in (False, True)
-]
-
-
-# The CLI writes its lines from orbit keys, the library through Orbit and
-# to_step_string: the two renderings must agree line for line.
-@settings(max_examples=300, deadline=None)
-@given(_enumerate_request())
-@_examples(_ENUMERATE_CASES)
-def test_enumerate_lines_follow_the_library_orbits(request):
-    G, l, k, primitive_only = request
+def _check_enumerate(G, l, k, primitive_only):
+    """Assert the CLI's enumerate stdout equals the library's orbits rendered through
+    Orbit and to_step_string, line for line; return the orbits."""
     argv = ["enumerate", "--n", str(G.n), "--a", str(G.a), "--b", str(G.b),
             "--length", str(l)]
     argv += ["--bcount", str(k)] * (k is not None) + ["--primitive-only"] * primitive_only
@@ -305,6 +374,42 @@ def test_enumerate_lines_follow_the_library_orbits(request):
     expected.append(json.dumps({"orbits": len(orbits), "primitive": primitive,
                                 "nonprimitive": len(orbits) - primitive}) + "\n")
     assert out.getvalue() == "".join(expected)
+    return orbits
+
+
+# The CLI writes its lines from orbit keys, the library through Orbit and
+# to_step_string: the two renderings must agree line for line.
+@settings(max_examples=300, deadline=None)
+@given(_enumerate_request())
+def test_enumerate_lines_follow_the_library_orbits(request):
+    _check_enumerate(*request)
+
+
+# Notation edges, each with and without its b-count and --primitive-only: b
+# below 10 and from 10 (concatenated and comma-separated steps), a two-digit a,
+# and b = 9 and 10 at lengths above those drawn.
+@pytest.mark.parametrize("with_bcount", [False, True], ids=["every-bcount", "bcount"])
+@pytest.mark.parametrize("primitive_only", [False, True], ids=["all", "primitive-only"])
+@pytest.mark.parametrize("steps", [(9, 1, 4), (12, 1, 10)], ids=["b-below-10", "comma-steps"])
+def test_enumerate_lines_are_json(steps, primitive_only, with_bcount):
+    # b-count 3 closes at length 9 on both graphs
+    orbits = _check_enumerate(CirculantGraph(*steps), 9, 3 if with_bcount else None,
+                              primitive_only)
+    assert len(orbits) > 10
+
+
+@pytest.mark.parametrize("with_bcount", [False, True], ids=["every-bcount", "bcount"])
+@pytest.mark.parametrize("primitive_only", [False, True], ids=["all", "primitive-only"])
+@pytest.mark.parametrize("steps, l, k", [
+    ((23, 10, 13), 8, 4),  # 230 orbits, 46 of them nonprimitive
+    ((20, 3, 9), 14, 3),  # b-counts 3 and 13 both close
+    ((20, 3, 10), 13, 3),
+    ((20, 3, 10), 12, 12),  # only b^12, every orbit nonprimitive
+], ids=["two-digit-a", "b-9", "b-10", "b-10-repeated"])
+def test_enumerate_renders_through_to_step_string(steps, l, k, primitive_only, with_bcount):
+    orbits = _check_enumerate(CirculantGraph(*steps), l, k if with_bcount else None,
+                              primitive_only)
+    assert len(orbits) >= 10
 
 
 @pytest.mark.parametrize("steps, l, k", [
