@@ -10,20 +10,19 @@ Exit codes are stable: 0 success, 1 verification mismatch, 141 from the
 refusal the `exit_code` of its error type in `errors` (2 for a plain
 ValueError).
 
-The library returns plain values and the JSON, CSV and text shapes are
-built here, except `oracle.verify_range`'s report (a dict with decimal-string
-counts) and `graph.dot_graph`'s DOT text. Counts inside JSON are decimal
-strings so consumers are not limited to 53-bit integers.
+The library returns plain values and the JSON, CSV and text shapes are built
+here, except `oracle.verify_range`'s report and `graph.dot_graph`'s DOT text:
+the report's decimal strings are library content, kept small by the enumeration
+budget. Every byte goes out through the `write` that `main` passes each
+handler, and every count, binomial and total through `_decimal`. Counts inside
+JSON are decimal strings so consumers are not limited to 53-bit integers.
 
 A call whose first word names a subcommand is parsed by that subcommand's
 parser alone, built as the full parser builds it, so its help and usage errors
 are the full parser's: building all six takes several times as long, and for a
 small count that is most of the call. Top-level help, no or an unknown command
 and left-over arguments go to the full parser, built only off the hot path.
-The subcommand's parser is built with a check-only formatter of fixed width,
-which never asks for the terminal size, and its help and usage errors are
-formatted by the stock class; so a call that prints neither imports no
-`shutil`.
+A call without help or usage errors imports no `shutil` (`_CHECK_FORMATTER`).
 
 Only enumerate and verify import the brute-force `oracle`, inside their
 handlers: a one-shot count, lattice, lyndon or graph call does not compile
@@ -37,7 +36,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .counting import (
     OrbitCountReport,
@@ -50,68 +49,71 @@ from .graph import CirculantGraph, dot_graph
 from .lattice import basis, lattice_points, skipped_windings
 from .words import DEFAULT_BUDGET, count_lyndon, list_lyndon, step_table
 
+# The one conversion of a printed count, binomial or total to decimal.
+_decimal = str
+
 
 def _report_json(G: CirculantGraph, method: str, report: OrbitCountReport) -> dict:
     terms = [({} if t.q is None else {"q": t.q}) | {"m": t.m, "mu": t.mu,
-                                                    "binomial": str(t.binomial)}
+                                                    "binomial": _decimal(t.binomial)}
              for t in report.terms]
     return {"n": G.n, "a": G.a, "b": G.b, "l": report.l, "k": report.k,
-            "omega": report.omega, "count": str(report.count), "terms": terms,
+            "omega": report.omega, "count": _decimal(report.count), "terms": terms,
             "method": method}
 
 
-def _print_report_plain(report: OrbitCountReport, indent: str = "") -> None:
-    head = f"l={report.l} k={report.k} omega={report.omega} count={report.count}"
-    print(indent + head)
+def _write_plain(write: Callable[[str], object], report: OrbitCountReport, indent: str) -> None:
+    head = f"l={report.l} k={report.k} omega={report.omega} count={_decimal(report.count)}"
+    write(f"{indent}{head}\n")
     for t in report.terms:
         q = f"q={t.q} " if t.q is not None else ""
-        print(f"{indent}  {q}m={t.m} mu={t.mu:+d} binomial={t.binomial}")
+        write(f"{indent}  {q}m={t.m} mu={t.mu:+d} binomial={_decimal(t.binomial)}\n")
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     G = CirculantGraph(args.n, args.a, args.b)
     l = args.length
     counter = count_orbits_lk_unreduced if args.method == "unreduced" else count_orbits_lk
     if args.bcount is not None:
         report = counter(G, l, args.bcount)
         if args.format == "json":
-            print(json.dumps(_report_json(G, args.method, report)))
+            write(json.dumps(_report_json(G, args.method, report)) + "\n")
         else:
-            print(f"C_{G.n}({G.a},{G.b}) length {l} b-count {args.bcount} "
-                  f"method {args.method}")
-            _print_report_plain(report)
+            write(f"C_{G.n}({G.a},{G.b}) length {l} b-count {args.bcount} "
+                  f"method {args.method}\n")
+            _write_plain(write, report, "")
         return 0
     total, reports = count_orbits_l(G, l, counter)
     if args.format == "json":
         obj: dict = {
             "n": G.n, "a": G.a, "b": G.b, "l": l,
-            "method": args.method, "total": str(total),
+            "method": args.method, "total": _decimal(total),
         }
         if args.show_skipped:
             obj["skipped_omegas"] = skipped_windings(G, l)
         obj["classes"] = [_report_json(G, args.method, r) for r in reports]
-        print(json.dumps(obj))
+        write(json.dumps(obj) + "\n")
     else:
-        print(f"C_{G.n}({G.a},{G.b}) length {l} method {args.method}")
+        write(f"C_{G.n}({G.a},{G.b}) length {l} method {args.method}\n")
         for r in reports:
-            _print_report_plain(r, indent="  ")
+            _write_plain(write, r, "  ")
         if args.show_skipped:
             skipped = ", ".join(str(w) for w in skipped_windings(G, l)) or "none"
-            print(f"  skipped omegas: {skipped}")
-        print(f"total {total}")
+            write(f"  skipped omegas: {skipped}\n")
+        write(f"total {_decimal(total)}\n")
     return 0
 
 
-def _cmd_lattice(args: argparse.Namespace) -> int:
+def _cmd_lattice(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     G = CirculantGraph(args.n, args.a, args.b)
     B = basis(G)
     points = lattice_points(G, args.lmax)
     if args.format == "csv":
-        print("l,k,omega")
+        write("l,k,omega\n")
         for c in points:
-            print(f"{c.l},{c.k},{c.omega}")
+            write(f"{c.l},{c.k},{c.omega}\n")
     else:
-        obj = {
+        write(json.dumps({
             "n": G.n, "a": G.a, "b": G.b,
             "basis": {
                 "a_prime": B.a_prime, "d_prime": B.d_prime,
@@ -120,8 +122,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
                 "denominator": B.n,
             },
             "points": [{"l": c.l, "k": c.k, "omega": c.omega} for c in points],
-        }
-        print(json.dumps(obj))
+        }) + "\n")
     return 0
 
 
@@ -132,9 +133,9 @@ def _parse_steps(value: str) -> list[int]:
         raise ValueError(f"--steps wants comma-separated integers, got {value!r}") from None
 
 
-def _cmd_lyndon(args: argparse.Namespace) -> int:
+def _cmd_lyndon(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     if args.action == "count":
-        print(count_lyndon(args.length, args.bcount))
+        write(_decimal(count_lyndon(args.length, args.bcount)) + "\n")
         return 0
     table = None
     if args.steps is not None:
@@ -143,17 +144,16 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
             raise ValueError(f"--steps wants n,a,b (three integers), got {args.steps!r}")
         G = CirculantGraph(*steps)
         table = step_table(G.a, G.b)
-    write = sys.stdout.write
     for w in list_lyndon(args.length, args.bcount):
         write((w if table is None else w.translate(table).removesuffix(",")) + "\n")
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     from .oracle import _orbit_groups
 
     G = CirculantGraph(args.n, args.a, args.b)
-    l, write, orbits, primitive = args.length, sys.stdout.write, 0, 0
+    l, orbits, primitive = args.length, 0, 0
     table = step_table(G.a, G.b)
     bits = {ord("0"): table[ord("a")], ord("1"): table[ord("b")]}  # a word as bits, a = 0
     # Lines are written per b-count from the canonical keys (start << l) | word,
@@ -168,21 +168,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         write("".join([f'{{"start": {key >> l}, "steps": '
                        f'"{format(key & mask, fmt).translate(bits).removesuffix(",")}'
                        f'{tail}{repeated.get(key, 1)}}}\n' for key in keys]))
-    print(json.dumps({"orbits": orbits, "primitive": primitive,
-                      "nonprimitive": orbits - primitive}))
+    write(json.dumps({"orbits": orbits, "primitive": primitive,
+                      "nonprimitive": orbits - primitive}) + "\n")
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     from .oracle import verify_range
 
     report = verify_range(args.nmax, args.lmax)
-    print(json.dumps(report))
+    write(json.dumps(report) + "\n")
     return 0 if report["passed"] else 1
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    sys.stdout.write(dot_graph(args.n, _parse_steps(args.steps)))
+def _cmd_graph(args: argparse.Namespace, write: Callable[[str], object]) -> int:
+    write(dot_graph(args.n, _parse_steps(args.steps)))
     return 0
 
 
@@ -302,10 +302,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return args.func(args, sys.stdout.write)
     except (CircorbitsError, ValueError) as exc:
         prefix = "invariant violated: " if isinstance(exc, InvariantViolated) else ""
-        print(f"error: {prefix}{exc}", file=sys.stderr)
+        sys.stderr.write(f"error: {prefix}{exc}\n")
         return getattr(exc, "exit_code", 2)
     finally:
         sys.set_int_max_str_digits(limit)

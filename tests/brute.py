@@ -126,6 +126,44 @@ def closed_lattice_scan(n, a, b, l):
     return out
 
 
+def lattice_basis_faults(n, a, b, basis):
+    """The properties that the `lattice` JSON basis of C_n(a, b) fails, by name.
+
+    With d = b - a and g = gcd(a, d): a_prime = a/g, d_prime = d/g,
+    l0*a + k0*d = g*n, 0 <= l0 < d_prime (so l0 = 0 when d_prime = 1), and
+    the matrix numerators times the basis columns (d', -a') and (l0, k0) are
+    the denominator n times the identity.
+    """
+    d = b - a
+    g = gcd(a, d)
+    a1, d1, l0, k0 = (basis[key] for key in ("a_prime", "d_prime", "l0", "k0"))
+    columns = [[d1, l0], [-a1, k0]]
+    product = [[sum(row[i] * columns[i][j] for i in range(2)) for j in range(2)]
+               for row in basis["matrix_numerators"]]
+    checks = {
+        "a_prime": a1 * g == a,
+        "d_prime": d1 * g == d,
+        "l0*a + k0*d": l0 * a + k0 * d == g * n,
+        "0 <= l0 < d_prime": 0 <= l0 < d1,
+        "denominator": basis["denominator"] == n,
+        "inverse": product == [[n, 0], [0, n]],
+    }
+    return [name for name, holds in checks.items() if not holds]
+
+
+def dot_lines(n, steps):
+    """The lines of the Graphviz DOT text of the digraph on Z_n with the given steps.
+
+    The vertex lines, then each edge v -> (v+s) % n, step by step; two steps
+    are labelled a and b, any other number of steps by the step itself.
+    """
+    labels = ["a", "b"] if len(steps) == 2 else [str(s) for s in steps]
+    edges = [f'  {v} -> {(v + s) % n} [label="{label}"];'
+             for s, label in zip(steps, labels) for v in range(n)]
+    return [f"digraph circulant_{n} {{", "  layout=circo;",
+            *(f"  {v};" for v in range(n)), *edges, "}"]
+
+
 def necklace_lyndon_total(l):
     """Classical count of binary Lyndon words of length l."""
     total = sum(naive_mu(m) * 2 ** (l // m) for m in naive_divisors(l))

@@ -6,10 +6,12 @@ Each row names a module of src/circorbits, an exact fragment of its source,
 the fragment's replacement and the test modules that must fail once the
 replacement is made. For each row the runner copies src/ and tests/ to a
 temporary directory, applies the row there and runs those test modules with
-pytest, stopping at the first failure; the checkout is never edited. It
-fails if a fragment does not occur exactly once in its module, or if a
-mutant survives: its test modules pass, or fail in some other way than a
-failing test (exit code 1), such as an import error.
+pytest, stopping at the first failure; the checkout is never edited.
+pytest runs with --assert=plain: a failing comparison of two long outputs is
+then reported at once, not after minutes of rendering their diff at every
+step of Hypothesis' shrinking. It fails if a fragment does not occur exactly
+once in its module, or if a mutant survives: its test modules pass, or fail
+in some other way than a failing test (exit code 1), such as an import error.
 
 The unmutated tests must pass (tier-1 checks that), or every mutant looks
 killed. A change that moves or rewords a fragment must update its row.
@@ -74,6 +76,15 @@ MUTANTS = [
     # a q is listed once per squarefree m | gamma/q.
     Mutant("divisors-every-block", "numtheory.py", " if s == 1]", "]",
            ["tests/test_numtheory.py"]),
+    # The CLI's output: verify prints past the writer main passes its handler;
+    # enumerate keeps the comma after the last step of a comma-separated word;
+    # lattice prints a instead of a' = a/g, the same when g = 1.
+    Mutant("verify-writes-past-its-writer", "cli.py", 'write(json.dumps(report) + "\\n")',
+           'sys.stdout.write(json.dumps(report) + "\\n")', ["tests/test_cli_pins.py"]),
+    Mutant("enumerate-keeps-last-comma", "cli.py", 'translate(bits).removesuffix(",")',
+           "translate(bits)", ["tests/test_cli.py"]),
+    Mutant("lattice-a-prime-undivided", "cli.py", '"a_prime": B.a_prime,', '"a_prime": G.a,',
+           ["tests/test_cli.py"]),
 ]
 
 
@@ -90,8 +101,8 @@ def outcome(mutant: Mutant) -> str:
             return f"fragment occurs {source.count(mutant.fragment)} times in {mutant.module}"
         path.write_text(source.replace(mutant.fragment, mutant.replacement))
         env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                               "no:cacheprovider", *mutant.tests],
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "--assert=plain",
+                               "-p", "no:cacheprovider", *mutant.tests],
                               cwd=tmp, env=env, capture_output=True, text=True)
         failed = [line.split()[1] for line in proc.stdout.splitlines()
                   if line.startswith("FAILED ")]

@@ -30,7 +30,9 @@ from circorbits.words import DEFAULT_BUDGET, resolve_budget
 
 from brute import (
     closed_lattice_scan,
+    dot_lines,
     enumerate_orbits_reference,
+    lattice_basis_faults,
     lyndon_words_direct,
     naive_divisors,
     naive_mu,
@@ -893,8 +895,8 @@ def _lattice_points(args):
 
 
 def _reference_stdout(args):
-    """The stdout of an answered enumerate, lyndon list, lyndon count, count or CSV lattice
-    request, from tests/brute, else None."""
+    """The stdout of an answered enumerate, lyndon list, lyndon count, count, CSV lattice or
+    graph request, from tests/brute, else None."""
     if args["command"] == "enumerate":
         n, a, b, l = args["n"], args["a"], args["b"], args["length"]
         orbits = enumerate_orbits_reference(n, a, b, l, args["bcount"])
@@ -916,21 +918,27 @@ def _reference_stdout(args):
         lines = _count_reference(args)
     elif args["command"] == "lattice" and args["format"] == "csv":
         lines = ["l,k,omega", *(f"{l},{k},{omega}" for l, k, omega in _lattice_points(args))]
+    elif args["command"] == "graph":
+        lines = dot_lines(args["n"], [int(s) for s in args["steps"].split(",")])
     else:
         return None
     return "".join(line + "\n" for line in lines)
 
 
 # No deadline: under the largest budget drawn, 10**6, verify --nmax 12 --lmax 12
-# runs in full, in about 0.7 s. The others are invalid (exit 2 wherever a
-# budget is read) or small enough to refuse some requests (exit 4). The stdout
-# of every answered enumerate, lyndon list, lyndon count, count and CSV lattice
-# request, and the points of every JSON lattice answer, are checked against the
-# references of tests/brute; the examples make sure some of each are drawn,
-# with nonprimitive orbits, comma-separated steps, skipped winding numbers,
-# both count methods and formats, and a b-count off the lattice.
+# runs in full, in about 0.7 s. Half the budgets are drawn valid, either small
+# enough to refuse some requests (exit 4) or not, and half invalid (exit 2
+# wherever a budget is read); one sampled_from of all five would favour its
+# first entries. The stdout of every answered enumerate, lyndon list, lyndon
+# count, count, CSV lattice and graph request, and the points and basis of every
+# JSON lattice answer, are checked against the references of tests/brute; the
+# examples make sure some of each are drawn, with nonprimitive orbits,
+# comma-separated steps, skipped winding numbers, both count methods and
+# formats, a b-count off the lattice, a basis with g = gcd(a, b) > 1, and
+# graphs of two and of three steps.
 @settings(max_examples=500, deadline=None)
-@given(_small_argv(), st.sampled_from(["abc", "0", "10", "1000", str(10**6)]))
+@given(_small_argv(), st.one_of(st.sampled_from([str(10**6), "1000", "10"]),
+                                st.sampled_from(["abc", "0"])))
 @example("enumerate --n 4 --a 1 --b 3 --length 8".split(), str(10**6))
 @example("enumerate --n 4 --a 1 --b 3 --length 8 --primitive-only".split(), str(10**6))
 @example("enumerate --n 12 --a 3 --b 10 --length 9 --bcount 3".split(), str(10**6))
@@ -944,6 +952,9 @@ def _reference_stdout(args):
 @example("count --n 4 --a 1 --b 3 --length 8 --bcount 3 --format plain".split(), str(10**6))
 @example("lattice --n 12 --a 2 --b 5 --lmax 12".split(), str(10**6))
 @example("lattice --n 7 --a 1 --b 3 --lmax 12 --format csv".split(), str(10**6))
+@example("lattice --n 11 --a 4 --b 10 --lmax 11".split(), str(10**6))
+@example("graph --n 5 --steps 1,4".split(), str(10**6))
+@example("graph --n 8 --steps 1,2,3".split(), str(10**6))
 def test_every_small_request_is_answered_or_refused(argv, budget):
     full = _full_parse(argv)
     out, err = io.StringIO(), io.StringIO()
@@ -959,8 +970,11 @@ def test_every_small_request_is_answered_or_refused(argv, budget):
     assert vars(cli._parse(argv)) == full
     if code == 0:
         assert err.getvalue() == ""
-        if full["command"] == "lattice" and full["format"] == "json":  # the basis is not checked
-            assert json.loads(out.getvalue())["points"] == [
+        if full["command"] == "lattice" and full["format"] == "json":
+            obj = json.loads(out.getvalue())
+            assert [obj["n"], obj["a"], obj["b"]] == [full["n"], full["a"], full["b"]]
+            assert lattice_basis_faults(full["n"], full["a"], full["b"], obj["basis"]) == []
+            assert obj["points"] == [
                 {"l": l, "k": k, "omega": omega} for l, k, omega in _lattice_points(full)]
         else:
             expected = _reference_stdout(full)

@@ -29,12 +29,14 @@ change meant to alter what a call prints edits that call's row, and says why.
 import hashlib
 import os
 import resource
+import sys
 from collections import namedtuple
 
 import pytest
 
 from circorbits import cli
 from circorbits.cli import build_parser, main
+from circorbits.errors import CircorbitsError
 
 from conftest import run_python
 
@@ -261,6 +263,43 @@ def test_cli_call_prints_its_pinned_bytes(pin):
                       preexec_fn=lambda: _limit(pin))
     stdout = None if pin.stdout is None else hashlib.sha256(proc.stdout).hexdigest()
     assert (proc.returncode, stdout, proc.stderr.decode()) == (pin.code, pin.stdout, pin.stderr)
+
+
+class _FailingStdout:
+    """A sys.stdout whose every write fails the test."""
+
+    def write(self, text):
+        raise AssertionError(f"written past the handler's writer: {text[:60]!r}")
+
+
+# Every row that reaches a handler: not help, whose stdout is not pinned, nor
+# an argparse usage error, nor a memory-capped row, whose cap holds only in a child.
+_HANDLED = [pin for pin in PINS
+            if pin.stdout is not None and pin.stderr != USAGE_ERROR and pin.mem_kib is None]
+
+
+@pytest.mark.parametrize("pin", _HANDLED, ids=[pin.id for pin in _HANDLED])
+def test_every_byte_goes_through_the_writer_main_passes(monkeypatch, pin):
+    # In process, as main runs the handler: in the row's environment, with the
+    # int/str digit limit lifted, and with a sys.stdout that fails on write.
+    monkeypatch.delenv("CIRCORBITS_BUDGET", raising=False)
+    for name, value in (pin.env or {}).items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(sys, "stdout", _FailingStdout())
+    args, chunks = cli._parse(pin.argv.split()), []
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if pin.code:
+            with pytest.raises((CircorbitsError, ValueError)) as refusal:
+                args.func(args, chunks.append)
+            code = getattr(refusal.value, "exit_code", 2)
+        else:
+            code = args.func(args, chunks.append)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    stdout = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert (code, stdout) == (pin.code, pin.stdout)
 
 
 # Forms where a subcommand's own parser could part from the nested one: an
