@@ -14,8 +14,16 @@ The library returns plain values and the JSON, CSV and text shapes are built
 here, except `oracle.verify_range`'s report and `graph.dot_graph`'s DOT text:
 the report's decimal strings are library content, kept small by the enumeration
 budget. Every byte goes out through the `write` that `main` passes each
-handler, and every count, binomial and total through `_decimal`. Counts inside
-JSON are decimal strings so consumers are not limited to 53-bit integers.
+handler. Counts inside JSON are decimal strings so consumers are not limited
+to 53-bit integers.
+
+Past `_SPLIT_BITS` bits, where `str`'s quadratic time shows, a class count is
+`_assembled` from the decimals of its printed terms in exact `decimal`
+arithmetic, linear in their digits, and a total from its classes' counts; a sum
+that leaves a remainder or disagrees with the library value mod 2**61 - 1
+raises InvariantViolated. Those terms, and a Lyndon count past `_SPLIT_BITS`
+bits, are split at powers of ten by `_decimal`. Only such a count imports
+`decimal`.
 
 A call whose first word names a subcommand is parsed by that subcommand's
 parser alone, built as the full parser builds it, so its help and usage errors
@@ -49,25 +57,72 @@ from .graph import CirculantGraph, dot_graph
 from .lattice import basis, lattice_points, skipped_windings
 from .words import DEFAULT_BUDGET, count_lyndon, list_lyndon, step_table
 
-# The one conversion of a printed count, binomial or total to decimal.
-_decimal = str
+# Ints of at most this many bits are printed by str alone.
+_SPLIT_BITS = 1536
+_RESIDUE = 2**61 - 1
+
+
+@functools.cache
+def _pow10(e: int) -> int:
+    return 10**e
+
+
+def _decimal(x: int, width: int = 0) -> str:
+    """str(x).zfill(width). Above _SPLIT_BITS bits, the digits of x // 10**e and
+    x % 10**e, split at the largest e = 256 * 2**j with 10**e <= x: CPython's
+    str(int) and divmod are both quadratic, and divmod has the smaller constant."""
+    if x < 0 or x.bit_length() <= _SPLIT_BITS:
+        return str(x).zfill(width)
+    e = 256
+    while _pow10(2 * e) <= x:
+        e *= 2
+    hi, lo = divmod(x, _pow10(e))
+    return _decimal(hi, width - e) + _decimal(lo, e)
+
+
+def _assembled(value: int, parts: Sequence[tuple[int, str]], n: int = 1, l: int = 1) -> str:
+    """The decimal of value == n * sum(c * int(s) for c, s in parts) // l, from the
+    decimals s above _SPLIT_BITS bits: InvariantViolated on a nonzero remainder
+    or a residue mod 2**61 - 1 other than value's."""
+    if value.bit_length() <= _SPLIT_BITS:
+        return str(value)
+    import decimal
+
+    with decimal.localcontext(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]):
+        count, rest = divmod(n * sum(c * decimal.Decimal(s) for c, s in parts), l)
+        if rest or count % _RESIDUE != value % _RESIDUE:
+            raise InvariantViolated(f"the printed terms of a {value.bit_length()}-bit count "
+                                    f"do not sum to it")
+    return str(count)
+
+
+def _printed(G: CirculantGraph, report: OrbitCountReport) -> tuple[str, list[str]]:
+    """The decimals of report's count, assembled as counting._finish sums, and of its binomials."""
+    if report.count.bit_length() <= _SPLIT_BITS:  # the terms are small too: str them all
+        return str(report.count), [str(t.binomial) for t in report.terms]
+    binomials = [_decimal(t.binomial) for t in report.terms]
+    parts = [(t.mu, s) for t, s in zip(report.terms, binomials)]
+    return _assembled(report.count, parts, G.n, report.l), binomials
 
 
 def _report_json(G: CirculantGraph, method: str, report: OrbitCountReport) -> dict:
-    terms = [({} if t.q is None else {"q": t.q}) | {"m": t.m, "mu": t.mu,
-                                                    "binomial": _decimal(t.binomial)}
-             for t in report.terms]
+    count, binomials = _printed(G, report)
+    terms = [({} if t.q is None else {"q": t.q}) | {"m": t.m, "mu": t.mu, "binomial": s}
+             for t, s in zip(report.terms, binomials)]
     return {"n": G.n, "a": G.a, "b": G.b, "l": report.l, "k": report.k,
-            "omega": report.omega, "count": _decimal(report.count), "terms": terms,
-            "method": method}
+            "omega": report.omega, "count": count, "terms": terms, "method": method}
 
 
-def _write_plain(write: Callable[[str], object], report: OrbitCountReport, indent: str) -> None:
-    head = f"l={report.l} k={report.k} omega={report.omega} count={_decimal(report.count)}"
-    write(f"{indent}{head}\n")
-    for t in report.terms:
+def _write_plain(write: Callable[[str], object], G: CirculantGraph, report: OrbitCountReport,
+                 indent: str) -> str:
+    """Write report's lines; return its count's decimal."""
+    count, binomials = _printed(G, report)
+    write(f"{indent}l={report.l} k={report.k} omega={report.omega} count={count}\n")
+    for t, s in zip(report.terms, binomials):
         q = f"q={t.q} " if t.q is not None else ""
-        write(f"{indent}  {q}m={t.m} mu={t.mu:+d} binomial={_decimal(t.binomial)}\n")
+        write(f"{indent}  {q}m={t.m} mu={t.mu:+d} binomial={s}\n")
+    return count
 
 
 def _cmd_count(args: argparse.Namespace, write: Callable[[str], object]) -> int:
@@ -81,26 +136,26 @@ def _cmd_count(args: argparse.Namespace, write: Callable[[str], object]) -> int:
         else:
             write(f"C_{G.n}({G.a},{G.b}) length {l} b-count {args.bcount} "
                   f"method {args.method}\n")
-            _write_plain(write, report, "")
+            _write_plain(write, G, report, "")
         return 0
     total, reports = count_orbits_l(G, l, counter)
     if args.format == "json":
+        classes = [_report_json(G, args.method, r) for r in reports]
         obj: dict = {
-            "n": G.n, "a": G.a, "b": G.b, "l": l,
-            "method": args.method, "total": _decimal(total),
+            "n": G.n, "a": G.a, "b": G.b, "l": l, "method": args.method,
+            "total": _assembled(total, [(1, c["count"]) for c in classes]),
         }
         if args.show_skipped:
             obj["skipped_omegas"] = skipped_windings(G, l)
-        obj["classes"] = [_report_json(G, args.method, r) for r in reports]
+        obj["classes"] = classes
         write(json.dumps(obj) + "\n")
     else:
         write(f"C_{G.n}({G.a},{G.b}) length {l} method {args.method}\n")
-        for r in reports:
-            _write_plain(write, r, "  ")
+        counts = [_write_plain(write, G, r, "  ") for r in reports]
         if args.show_skipped:
             skipped = ", ".join(str(w) for w in skipped_windings(G, l)) or "none"
             write(f"  skipped omegas: {skipped}\n")
-        write(f"total {_decimal(total)}\n")
+        write(f"total {_assembled(total, [(1, c) for c in counts])}\n")
     return 0
 
 

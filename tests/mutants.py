@@ -85,6 +85,15 @@ MUTANTS = [
            "translate(bits)", ["tests/test_cli.py"]),
     Mutant("lattice-a-prime-undivided", "cli.py", '"a_prime": B.a_prime,', '"a_prime": G.a,',
            ["tests/test_cli.py"]),
+    # Printing ints past cli._SPLIT_BITS: each low piece of the split loses its
+    # leading zeros; the split has no leaf, so it recurses without end; an
+    # assembled count is printed unchecked, so a wrong printed term goes by.
+    Mutant("decimal-drops-padding", "cli.py", "return str(x).zfill(width)", "return str(x)",
+           ["tests/test_cli.py"]),
+    Mutant("decimal-without-threshold", "cli.py", "if x < 0 or x.bit_length() <= _SPLIT_BITS:",
+           "if x < 0:", ["tests/test_cli_pins.py"]),
+    Mutant("assembled-unchecked", "cli.py", "if rest or count % _RESIDUE != value % _RESIDUE:",
+           "if False:", ["tests/test_cli.py"]),
 ]
 
 

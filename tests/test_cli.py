@@ -26,6 +26,7 @@ from circorbits import (
     words,
 )
 from circorbits.cli import main
+from circorbits.errors import InvariantViolated
 from circorbits.words import DEFAULT_BUDGET, resolve_budget
 
 from brute import (
@@ -45,6 +46,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def first_difference(got: str, want: str) -> tuple[int, str, str] | None:
+    """None when got == want, else the line number where they first part and 60
+    characters of each from there. An assertion on it fails at once, where pytest's
+    diff of two long strings can take minutes at each step of Hypothesis' shrinking."""
+    if got == want:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    return got.count("\n", 0, i) + 1, got[i:i + 60], want[i:i + 60]
 
 
 def test_count_headline(capsys):
@@ -217,6 +228,70 @@ def test_counts_past_the_int_str_digit_limit_are_printed(capsys, argv, expected)
         sys.set_int_max_str_digits(limit)
 
 
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift CPython's int/str digit limit, as main does while a command runs."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Random ints of every bit length up to 40,000; powers of ten and one below,
+# whose split pieces are all zeros or all nines; and ints with a long inner run
+# of zeros, which only the zero-padding of each low piece keeps.
+_RANDOM_INT = st.tuples(st.integers(0, 40_000), st.randoms(use_true_random=False)).map(
+    lambda drawn: drawn[1].getrandbits(drawn[0]))
+_POWER_OF_TEN = st.integers(0, 12_000).flatmap(lambda e: st.sampled_from([10**e, 10**e - 1]))
+_INNER_ZEROS = st.tuples(st.integers(1, 10**1000), st.integers(0, 11_000),
+                         st.integers(0, 10**300)).map(lambda t: t[0] * 10**t[1] + t[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_RANDOM_INT, _POWER_OF_TEN, _INNER_ZEROS))
+@example(2**cli._SPLIT_BITS - 1)
+@example(2**cli._SPLIT_BITS)
+@example(2**cli._SPLIT_BITS + 1)
+@example(10**4096 - 1)
+@example(10**4096)
+@example(10**6000 + 1)
+def test_decimal_is_str(x):
+    with no_digit_limit():
+        assert first_difference(cli._decimal(x), str(x)) is None
+        assert cli._decimal(-x) == str(-x)
+
+
+# C_440(5,14) at l = 3600, k = 2400: a 3297-bit count of eight terms, the
+# m = 1 binomial of 3300 bits and the last of 107.
+_BIG_G = CirculantGraph(440, 5, 14)
+_BIG_REPORT = counting.count_orbits_lk(_BIG_G, 3600, 2400)
+
+
+@pytest.mark.parametrize("term", [0, -1], ids=["m-1", "last-m"])
+@pytest.mark.parametrize("off", [1, -1, 3600], ids=["plus-1", "minus-1", "plus-l"])
+def test_a_count_is_not_assembled_from_a_wrong_binomial(term, off):
+    # Off by one, n * sum / l leaves a remainder; off by l it does not, and
+    # only the residue tells.
+    with no_digit_limit():
+        parts = [(t.mu, str(t.binomial)) for t in _BIG_REPORT.terms]
+        assert cli._assembled(_BIG_REPORT.count, parts, 440, 3600) == str(_BIG_REPORT.count)
+        parts[term] = (parts[term][0], str(_BIG_REPORT.terms[term].binomial + off))
+    with pytest.raises(InvariantViolated, match="printed terms of a .*-bit count"):
+        cli._assembled(_BIG_REPORT.count, parts, 440, 3600)
+
+
+def test_a_total_is_not_assembled_from_a_wrong_count():
+    # l = 1 leaves no remainder, so the residue is the whole check.
+    counts = [10**2000 + 7, 3 * 10**1999, 12345]
+    parts = [(1, str(c)) for c in counts]
+    assert cli._assembled(sum(counts), parts) == str(sum(counts))
+    parts[1] = (1, str(counts[1] + 1))
+    with pytest.raises(InvariantViolated):
+        cli._assembled(sum(counts), parts)
+
+
 def test_lyndon_count_ignores_steps(capsys):
     bare = run_cli(capsys, "lyndon", "count", "--length", "9", "--bcount", "3")
     assert bare == (0, "9\n", "")
@@ -375,7 +450,7 @@ def _check_enumerate(G, l, k, primitive_only):
                 for o in orbits if o.is_primitive() or not primitive_only]
     expected.append(json.dumps({"orbits": len(orbits), "primitive": primitive,
                                 "nonprimitive": len(orbits) - primitive}) + "\n")
-    assert out.getvalue() == "".join(expected)
+    assert first_difference(out.getvalue(), "".join(expected)) is None
     return orbits
 
 
@@ -785,6 +860,22 @@ _GRAPH = st.one_of(
     st.sampled_from(list(oracle.connected_graphs(12))).map(
         lambda G: [str(x) for x in sorted(G, reverse=True)]),
 ).map(lambda nba: ["--n", nba[0], "--a", nba[2], "--b", nba[1]])
+
+
+@st.composite
+def _answerable_dot(draw):
+    """--n in 2..12 and --steps of 1-4 sorted distinct steps in 1..n-1."""
+    n = draw(st.integers(2, 12))
+    steps = sorted(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True)))
+    return ["--n", str(n), "--steps", ",".join(map(str, steps))]
+
+
+# Half the graph requests draw --n and --steps apart, which few answer, and half
+# draw steps that fit the drawn n.
+_DOT = st.one_of(
+    st.tuples(_flag("--n"), _flag("--steps", _STEPS)).map(lambda parts: parts[0] + parts[1]),
+    _answerable_dot(),
+)
 # Per subcommand: the argv parts it requires, then the optional ones.
 _GRAMMAR = {
     ("count",): ((_GRAPH, _flag("--length")), (
@@ -798,7 +889,7 @@ _GRAMMAR = {
     ("enumerate",): ((_GRAPH, _flag("--length")), (
         _flag("--bcount"), st.just(["--primitive-only"]))),
     ("verify",): ((_flag("--nmax"), _flag("--lmax")), ()),
-    ("graph",): ((_flag("--n"), _flag("--steps", _STEPS)), ()),
+    ("graph",): ((_DOT,), ()),
 }
 
 
@@ -978,7 +1069,7 @@ def test_every_small_request_is_answered_or_refused(argv, budget):
                 {"l": l, "k": k, "omega": omega} for l, k, omega in _lattice_points(full)]
         else:
             expected = _reference_stdout(full)
-            assert expected is None or out.getvalue() == expected
+            assert expected is None or first_difference(out.getvalue(), expected) is None
     else:
         assert code in (2, 3, 4)
         assert err.getvalue().startswith("error: ") and err.getvalue().endswith("\n")

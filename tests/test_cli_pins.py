@@ -100,6 +100,27 @@ PINS = [
     Pin("count-480-blocks", "count --n 36036000015135120 --a 1 --b 2 --length 36036000015135120 "
         "--bcount 0 --method unreduced", 0,
         "56dde82d6426e75d459c0141977604dfb948c68dcf421b1762d52d2ee76318dc", "", timeout=10),
+    # Counts, binomials and totals past cli._SPLIT_BITS (1536 bits), which are
+    # printed by splitting at powers of ten or assembled from printed terms:
+    # C_3(1,2)'s 1001 classes at length 3000, 769 of them past it, and their
+    # 2989-bit total; one 3297-bit class of C_440(5,14) by each method; the 9
+    # classes and 221 terms of C_1000(5,318) at length 8000; and a 6015-digit
+    # Lyndon count. Recorded before either route existed.
+    Pin("count-json-3000", "count --n 3 --a 1 --b 2 --length 3000", 0,
+        "8146ae8e9a4e272678de4646aa613a2eacea0a560f05a29afa8fac49e9a86205", ""),
+    Pin("count-plain-skipped-3000",
+        "count --n 3 --a 1 --b 2 --length 3000 --format plain --show-skipped", 0,
+        "9c35012cee1a05e3cdf1c2553ef2fd4d2b0911dd4889be970071c0a16a6b2e4b", ""),
+    Pin("count-bcount-3600", "count --n 440 --a 5 --b 14 --length 3600 --bcount 2400", 0,
+        "d678c94800df299ef8c6cb95d3f4675a327a1efd11fc4b8f95fbb9e0b88bf8e0", ""),
+    Pin("count-bcount-3600-unreduced",
+        "count --n 440 --a 5 --b 14 --length 3600 --bcount 2400 --method unreduced", 0,
+        "0ef4247dfffb71e74ab46ed4a602540004946b7956e910052f769130b7e40796", ""),
+    Pin("count-unreduced-plain-8000",
+        "count --n 1000 --a 5 --b 318 --length 8000 --method unreduced --format plain", 0,
+        "867c0e29a77087d1634f4585d7c32023feef305b1b88231939642ccfce613379", ""),
+    Pin("lyndon-count-20000", "lyndon count --length 20000 --bcount 10000", 0,
+        "c68e05b84bdf3bc6a3b8637fcf8bfceaa64cc79695f701eaa3f6283332401e60", ""),
     Pin("lattice-json", "lattice --n 21 --a 4 --b 10 --lmax 15", 0,
         "e5d2ac39c0efb8569e29f0c5756aa6b05c137eae248a9f5ca6fe32ee121a4f7a", ""),
     Pin("lattice-csv", "lattice --n 21 --a 4 --b 10 --lmax 15 --format csv", 0,

@@ -101,8 +101,10 @@ def test_only_count_term_has_a_default():
 def test_cold_import_of_the_cli_skips_heavy_stdlib_modules():
     # -S keeps site-packages .pth files from importing these modules first
     # and so hiding a regression in the package's own imports. The oracle is
-    # imported only by the enumerate and verify handlers.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "typing", "pickle", "circorbits.oracle")
+    # imported only by the enumerate and verify handlers, decimal only to
+    # print a count past cli._SPLIT_BITS.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "typing", "pickle", "decimal",
+             "circorbits.oracle")
     listed = f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
     proc = run_python("-c", f"import sys, circorbits.cli; {listed}", text=True)
     assert proc.returncode == 0, proc.stderr
