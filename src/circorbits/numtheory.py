@@ -16,6 +16,15 @@ the only big operation is Karatsuba multiplication (P. Goetgheluck,
 Otherwise it calls math.comb, which is faster there. The second condition
 keeps the prime sieve about as small as the result: C(10**9, 500) builds
 none. The sieve is a cached pure function, one per power-of-two bound.
+
+On that side y > sqrt(x), and the primes above y that divide C(x, y) are
+the runs ((x-y)//j, x//j] of the sieve, j = 1, 2, ... Each run is taken as
+the aligned nodes of a product tree over the sieve's primes: node (h, t) is
+the product of primes[t << h:(t + 1) << h], formed by one `_product` the first
+time a run needs it and kept in the dict `_nodes` returns for that bound. So
+a run costs O(log) lookups once its nodes exist. Only the nodes some run
+formed are held: at each height they are disjoint, so a bound holds at most
+(tree height) times the bits of the product of its primes.
 """
 
 from __future__ import annotations
@@ -76,15 +85,41 @@ def _product(factors: list[int]) -> int:
     return factors[0] if factors else 1
 
 
+@cache
+def _nodes(bits: int) -> dict[tuple[int, int], int]:
+    """The product-tree nodes formed so far over _primes_below(1 << bits), by (h, t)."""
+    return {}
+
+
+def _run_into(factors: list[int], primes: list[int], nodes: dict, lo: int, hi: int) -> None:
+    """Append the product of primes[lo:hi], 0 < lo, to factors as its aligned nodes.
+
+    Each step takes the largest node (h, lo >> h) that starts at lo and ends
+    by hi: its height h is bounded by the lowest set bit of lo and by hi - lo.
+    """
+    while lo < hi:
+        h = min((lo & -lo).bit_length(), (hi - lo).bit_length()) - 1
+        if h:
+            node = nodes.get((h, lo >> h))
+            if node is None:
+                node = nodes[h, lo >> h] = _product(primes[lo:lo + (1 << h)])
+            factors.append(node)
+        else:
+            factors.append(primes[lo])
+        lo += 1 << h
+
+
 def binomial(x: int, y: int) -> int:
     """Exact binomial coefficient C(x, y) for x >= 0; zero when y < 0 or y > x.
 
     With y = min(y, x - y): when y >= 400 and y * x.bit_length() >= x,
     the result is the product of p**e over the primes p <= x, where e
     sums x//p^i - y//p^i - (x-y)//p^i over the powers p^i <= x (Legendre).
-    Primes above x - y have e = 1, primes above x // 2 and at most x - y
-    have e = 0, and a prime above sqrt(x) has e = 1 exactly when
-    x % p < y % p (a carry when adding y and x - y in base p, Kummer).
+    Then y > sqrt(x), and a prime p above sqrt(x) has e = 1 exactly when
+    x % p < y % p (a carry when adding y and x - y in base p, Kummer). For
+    p > y that is when p has a multiple in (x - y, x], so those primes are
+    the runs ((x-y)//j, x//j], j <= x // (y + 1), each taken from cached
+    product-tree nodes; only the primes in (sqrt(x), y] are tested one by one.
     Otherwise the result is math.comb(x, y).
     """
     if x < 0:
@@ -95,9 +130,13 @@ def binomial(x: int, y: int) -> int:
     if y < 400 or y * x.bit_length() < x:
         return math.comb(x, y)
     primes = _primes_below(1 << x.bit_length())
+    nodes = _nodes(x.bit_length())
     root = bisect_right(primes, math.isqrt(x))
-    factors = primes[bisect_right(primes, x - y):bisect_right(primes, x)]
-    factors += [p for p in primes[root:bisect_right(primes, x // 2)] if x % p < y % p]
+    top = bisect_right(primes, y)
+    factors = [p for p in primes[root:top] if x % p < y % p]
+    for j in range(1, x // (y + 1) + 1):
+        lo = max(bisect_right(primes, (x - y) // j), top)
+        _run_into(factors, primes, nodes, lo, bisect_right(primes, x // j))
     for p in primes[:root]:
         e = 0
         q = p

@@ -6,6 +6,7 @@ uses strings, naive divisor scans, direct rotation sets, full scans where
 it walks a residue class) so agreement is meaningful.
 """
 
+from functools import cache
 from itertools import combinations, product
 from math import comb, gcd
 
@@ -113,6 +114,50 @@ def scaled_binomial(l, k, m):
     if l % m or k % m or not 0 <= k <= l:
         return 0
     return comb(l // m, k // m)
+
+
+@cache
+def _factorials_mod(p):
+    """[i! mod p for i < p]."""
+    table = [1] * p
+    for i in range(1, p):
+        table[i] = table[i - 1] * i % p
+    return table
+
+
+def binomial_mod(x, y, p):
+    """C(x, y) mod the prime p by Lucas' theorem: the product, over the base-p
+    digits x_i and y_i of x and y, of C(x_i, y_i) mod p from one factorial table.
+    It is 0 exactly when adding y and x - y in base p carries (Kummer)."""
+    if not 0 <= y <= x:
+        return 0
+    fact = _factorials_mod(p)
+    out = 1
+    while y:
+        xi, yi = x % p, y % p
+        if yi > xi:
+            return 0
+        out = out * fact[xi] * pow(fact[yi] * fact[xi - yi], -1, p) % p
+        x, y = x // p, y // p
+    return out
+
+
+def strongly_connected_count(n_max):
+    """How many C_n(a, b) with 3 <= n <= n_max and 0 < a < b < n reach every
+    vertex from 0, by a search along the edges from 0. The graph is
+    vertex-transitive, so that is strong connectivity."""
+    count = 0
+    for n in range(3, n_max + 1):
+        for a, b in combinations(range(1, n), 2):
+            seen, todo = {0}, [0]
+            while todo:
+                v = todo.pop()
+                for w in ((v + a) % n, (v + b) % n):
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            count += len(seen) == n
+    return count
 
 
 def closed_lattice_scan(n, a, b, l):

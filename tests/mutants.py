@@ -72,6 +72,16 @@ MUTANTS = [
            ["tests/test_words.py"]),
     Mutant("block-binomial-drops-q", "words.py", "l // (q * m)", "l // m",
            ["tests/test_counting.py"]),
+    # The Legendre binomial's runs ((x-y)//j, x//j] of primes above y: a run's
+    # lower edge also takes the prime equal to (x-y)//j; the runs stop after
+    # j = 1; and a prime in (sqrt(x), y] is tested with y % p kept in 16 bits,
+    # wrong only for primes above 2^16, so only at x > 2^17 (y <= x/2).
+    Mutant("run-takes-lower-edge", "numtheory.py", "bisect_right(primes, (x - y) // j)",
+           "bisect_right(primes, (x - y) // j - 1)", ["tests/test_numtheory.py"]),
+    Mutant("runs-stop-after-j-1", "numtheory.py", "range(1, x // (y + 1) + 1)", "range(1, 2)",
+           ["tests/test_numtheory.py"]),
+    Mutant("residue-in-16-bits", "numtheory.py", "if x % p < y % p]", "if x % p < y % p & 65535]",
+           ["tests/test_numtheory.py"]),
     # divisors reads the blocks of omega = 1, each q once at m = 1; unfiltered,
     # a q is listed once per squarefree m | gamma/q.
     Mutant("divisors-every-block", "numtheory.py", " if s == 1]", "]",

@@ -39,6 +39,7 @@ from brute import (
     naive_mu,
     scaled_binomial,
     step_string,
+    strongly_connected_count,
 )
 
 
@@ -1021,12 +1022,13 @@ def _reference_stdout(args):
 # enough to refuse some requests (exit 4) or not, and half invalid (exit 2
 # wherever a budget is read); one sampled_from of all five would favour its
 # first entries. The stdout of every answered enumerate, lyndon list, lyndon
-# count, count, CSV lattice and graph request, and the points and basis of every
-# JSON lattice answer, are checked against the references of tests/brute; the
+# count, count, CSV lattice and graph request, the points and basis of every
+# JSON lattice answer, and the graph and case counts of every verify answer
+# are checked against the references of tests/brute; the
 # examples make sure some of each are drawn, with nonprimitive orbits,
 # comma-separated steps, skipped winding numbers, both count methods and
-# formats, a b-count off the lattice, a basis with g = gcd(a, b) > 1, and
-# graphs of two and of three steps.
+# formats, a b-count off the lattice, a basis with g = gcd(a, b) > 1,
+# graphs of two and of three steps, and a verify sweep.
 @settings(max_examples=500, deadline=None)
 @given(_small_argv(), st.one_of(st.sampled_from([str(10**6), "1000", "10"]),
                                 st.sampled_from(["abc", "0"])))
@@ -1046,6 +1048,7 @@ def _reference_stdout(args):
 @example("lattice --n 11 --a 4 --b 10 --lmax 11".split(), str(10**6))
 @example("graph --n 5 --steps 1,4".split(), str(10**6))
 @example("graph --n 8 --steps 1,2,3".split(), str(10**6))
+@example("verify --nmax 6 --lmax 4".split(), str(10**6))
 def test_every_small_request_is_answered_or_refused(argv, budget):
     full = _full_parse(argv)
     out, err = io.StringIO(), io.StringIO()
@@ -1067,6 +1070,12 @@ def test_every_small_request_is_answered_or_refused(argv, budget):
             assert lattice_basis_faults(full["n"], full["a"], full["b"], obj["basis"]) == []
             assert obj["points"] == [
                 {"l": l, "k": k, "omega": omega} for l, k, omega in _lattice_points(full)]
+        elif full["command"] == "verify":
+            report = json.loads(out.getvalue())
+            assert report["graphs"] == strongly_connected_count(full["nmax"])
+            assert report["cases"] == report["graphs"] * full["lmax"]
+            assert len(report["case_results"]) == report["cases"]
+            assert report["passed"] is True
         else:
             expected = _reference_stdout(full)
             assert expected is None or first_difference(out.getvalue(), expected) is None

@@ -121,6 +121,11 @@ PINS = [
         "867c0e29a77087d1634f4585d7c32023feef305b1b88231939642ccfce613379", ""),
     Pin("lyndon-count-20000", "lyndon count --length 20000 --bcount 10000", 0,
         "c68e05b84bdf3bc6a3b8637fcf8bfceaa64cc79695f701eaa3f6283332401e60", ""),
+    # Past the tests' math.comb reach: the Moebius sum of C(10**6/m, 3*10**5/m),
+    # m = 1, 2, 5, 10, Legendre binomials over the primes below 2^20 to 2^17.
+    # Recorded before their runs of primes were taken from product-tree nodes.
+    Pin("lyndon-count-1000000", "lyndon count --length 1000000 --bcount 300000", 0,
+        "f9a9aa034ede7f63214e0c0755d1449a6f655334c28ff6eb3478178ebe04d7e8", ""),
     Pin("lattice-json", "lattice --n 21 --a 4 --b 10 --lmax 15", 0,
         "e5d2ac39c0efb8569e29f0c5756aa6b05c137eae248a9f5ca6fe32ee121a4f7a", ""),
     Pin("lattice-csv", "lattice --n 21 --a 4 --b 10 --lmax 15 --format csv", 0,

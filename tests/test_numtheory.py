@@ -1,12 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circorbits import binomial, divisors, numtheory
 from circorbits.numtheory import block_divisors
 
-from brute import naive_divisors, naive_mu, pascal_table, scaled_binomial
+from brute import binomial_mod, naive_divisors, naive_mu, pascal_table, scaled_binomial
 
 
 # block_divisors at omega = 0 is the plain Moebius walk: a block q must be
@@ -217,6 +217,107 @@ def test_binomial_sieve_grows_and_is_reused():
 
 def test_binomial_small_y_with_huge_x_builds_no_sieve():
     assert _sieves((10**9, 500)) == (0, 0)
+
+
+def test_binomial_small_y_with_huge_x_builds_no_node():
+    numtheory._nodes.cache_clear()
+    assert _sieves((10**9, 500)) == (0, 0)
+    assert numtheory._nodes.cache_info().currsize == 0
+
+
+def _least_prime_from(v):
+    while any(v % d == 0 for d in range(2, math.isqrt(v) + 1)):
+        v += 1
+    return v
+
+
+def _run_edges():
+    """(x, y, p, j) on the Legendre side where the prime p > y is at an edge of
+    the run ((x-y)//j, x//j], or one off it: x//j = p + d (the upper edge, p in
+    the run for d >= 0) with p the least prime from 12000 // j, or (x-y)//j =
+    p + d (the lower edge, p in the run for d < 0) at x = 12000, with p the
+    least prime from 10000 // j; d = -1, 0, 1 and j = 1, 2, 3."""
+    cases = []
+    for j in (1, 2, 3):
+        p = _least_prime_from(12000 // j)
+        cases += [(f"upper-j{j}-d{d:+d}", j * (p + d), 2000, p, j) for d in (-1, 0, 1)]
+        p = _least_prime_from(10000 // j)
+        cases += [(f"lower-j{j}-d{d:+d}", 12000, 12000 - j * (p + d), p, j) for d in (-1, 0, 1)]
+    return cases
+
+
+@pytest.mark.parametrize("x, y, p, j", [case[1:] for case in _run_edges()],
+                         ids=[case[0] for case in _run_edges()])
+def test_binomial_at_run_edges_equals_math_comb(x, y, p, j):
+    assert 400 <= y < p and y * x.bit_length() >= x
+    assert p - 1 <= x // j <= p + 1 or p - 1 <= (x - y) // j <= p + 1
+    assert binomial(x, y) == math.comb(x, y)
+
+
+# Calls of one bound, 2^14, whose runs overlap, the first three in all but a few primes.
+_SAME_BOUND = [(12000, 2000), (12010, 2000), (12000, 2010), (16000, 5000), (9000, 4500),
+               (12345, 6000), (12000, 2000)]
+
+
+def test_binomial_does_not_depend_on_call_order():
+    for order in (_SAME_BOUND, _SAME_BOUND[::-1], _SAME_BOUND[1::2] + _SAME_BOUND[::2]):
+        numtheory._nodes.cache_clear()
+        assert [binomial(x, y) for x, y in order] == [math.comb(x, y) for x, y in order]
+
+
+def test_binomial_forms_each_node_once(monkeypatch):
+    numtheory._nodes.cache_clear()
+    assert binomial(12000, 2000) == math.comb(12000, 2000)
+    first = dict(numtheory._nodes(14))
+    products = []
+    product = numtheory._product
+    monkeypatch.setattr(numtheory, "_product", lambda factors: products.append(factors) or
+                        product(factors))
+    assert binomial(12010, 2000) == math.comb(12010, 2000)
+    nodes = numtheory._nodes(14)
+    # The first call's nodes are all held, as the same objects; every _product call
+    # but the last (the result's) formed one of the new ones.
+    assert all(nodes[key] is node for key, node in first.items())
+    assert len(products) - 1 == len(nodes) - len(first) > 0
+    products.clear()
+    assert binomial(12010, 2000) == math.comb(12010, 2000)
+    assert len(products) == 1 and numtheory._nodes(14) == nodes
+
+
+_NEAR_2_16 = [65479, 65497, 65519, 65521, 65537, 65539, 65543, 65551, 65557, 65563]
+
+
+@st.composite
+def _large_binomial_args(draw):
+    """x <= 10**6 and y at the method rule, anywhere on the Legendre side, or
+    with x - y = j * p + d, d = -1, 0, 1, for a prime p near 2^16 and j = x // p,
+    which puts (x-y)//j, the lower edge of the run ((x-y)//j, x//j], at p or one off it."""
+    x = draw(st.integers(800, 10**6), label="x")
+    first = -(-x // x.bit_length())  # the least y with y * bits(x) >= x
+    kind = draw(st.sampled_from(["rule", "legendre", "edge"]), label="kind")
+    if kind == "rule":
+        y = first + draw(st.integers(-2, 1))
+    elif kind == "legendre":
+        y = draw(st.integers(first, x // 2))
+    else:
+        p = draw(st.sampled_from(_NEAR_2_16))
+        j = x // p
+        y = x - j * p - draw(st.integers(-1, 1)) if j else draw(st.integers(first, x // 2))
+    return x, max(0, min(x, y))
+
+
+# math.comb takes seconds at these sizes (8.9 s for C(10**6, 500000) on CPython
+# 3.11), so each result is checked mod primes near 2^16 by Lucas' theorem. The
+# residue is nonzero for a prime with no carry in y + (x - y) (Kummer), so a wrong
+# prime power shows there; a prime with a carry divides both sides.
+@settings(max_examples=20, deadline=None)
+@given(_large_binomial_args())
+@example((10**6, 300000))
+@example((599999, 200000))
+def test_binomial_past_2_16_matches_lucas(args):
+    x, y = args
+    result = binomial(x, y)
+    assert [result % p for p in _NEAR_2_16] == [binomial_mod(x, y, p) for p in _NEAR_2_16]
 
 
 def test_scaled_binomial_examples():
