@@ -15,15 +15,18 @@ here, except `oracle.verify_range`'s report and `graph.dot_graph`'s DOT text:
 the report's decimal strings are library content, kept small by the enumeration
 budget. Every byte goes out through the `write` that `main` passes each
 handler. Counts inside JSON are decimal strings so consumers are not limited
-to 53-bit integers.
+to 53-bit integers. `count` and `enumerate` write their lines in `json.dumps`
+layout with f-strings, from ints and digit strings that need no escaping, so
+no `json.dumps` scans a count's digits; `json.dumps(json.loads(line))` gives
+each line back.
 
 Past `_SPLIT_BITS` bits, where `str`'s quadratic time shows, a class count is
 `_assembled` from the decimals of its printed terms in exact `decimal`
-arithmetic, linear in their digits, and a total from its classes' counts; a sum
-that leaves a remainder or disagrees with the library value mod 2**61 - 1
-raises InvariantViolated. Those terms, and a Lyndon count past `_SPLIT_BITS`
-bits, are split at powers of ten by `_decimal`. Only such a count imports
-`decimal`.
+arithmetic, linear in their digits, and a total from its classes' exact
+values, which `_assembled` returns beside each decimal; a sum that leaves a
+remainder or disagrees with the library value mod 2**61 - 1 raises
+InvariantViolated. Those terms, and a Lyndon count past `_SPLIT_BITS` bits,
+are split at powers of ten by `_decimal`. Only such a count imports `decimal`.
 
 A call whose first word names a subcommand is parsed by that subcommand's
 parser alone, built as the full parser builds it, so its help and usage errors
@@ -80,49 +83,56 @@ def _decimal(x: int, width: int = 0) -> str:
     return _decimal(hi, width - e) + _decimal(lo, e)
 
 
-def _assembled(value: int, parts: Sequence[tuple[int, str]], n: int = 1, l: int = 1) -> str:
-    """The decimal of value == n * sum(c * int(s) for c, s in parts) // l, from the
-    decimals s above _SPLIT_BITS bits: InvariantViolated on a nonzero remainder
-    or a residue mod 2**61 - 1 other than value's."""
+def _assembled(value: int, parts: Sequence[tuple[int, object]], n: int = 1,
+               l: int = 1) -> tuple[str, object]:
+    """The decimal and exact value (an int of at most _SPLIT_BITS bits, else a
+    Decimal) of value == n * sum(c * x for c, x in parts) // l, from the x, each
+    a decimal string or an exact value, above _SPLIT_BITS bits: InvariantViolated
+    on a nonzero remainder or a residue mod 2**61 - 1 other than value's."""
     if value.bit_length() <= _SPLIT_BITS:
-        return str(value)
+        return str(value), value
     import decimal
 
     with decimal.localcontext(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                               traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]):
-        count, rest = divmod(n * sum(c * decimal.Decimal(s) for c, s in parts), l)
+        count, rest = divmod(n * sum(c * decimal.Decimal(x) for c, x in parts), l)
         if rest or count % _RESIDUE != value % _RESIDUE:
             raise InvariantViolated(f"the printed terms of a {value.bit_length()}-bit count "
                                     f"do not sum to it")
-    return str(count)
+    return str(count), count
 
 
-def _printed(G: CirculantGraph, report: OrbitCountReport) -> tuple[str, list[str]]:
-    """The decimals of report's count, assembled as counting._finish sums, and of its binomials."""
+def _printed(G: CirculantGraph, report: OrbitCountReport) -> tuple[str, object, list[str]]:
+    """The decimal and exact value of report's count, assembled as counting._finish
+    sums, and the decimals of its binomials."""
     if report.count.bit_length() <= _SPLIT_BITS:  # the terms are small too: str them all
-        return str(report.count), [str(t.binomial) for t in report.terms]
+        return str(report.count), report.count, [str(t.binomial) for t in report.terms]
     binomials = [_decimal(t.binomial) for t in report.terms]
     parts = [(t.mu, s) for t, s in zip(report.terms, binomials)]
-    return _assembled(report.count, parts, G.n, report.l), binomials
+    return *_assembled(report.count, parts, G.n, report.l), binomials
 
 
-def _report_json(G: CirculantGraph, method: str, report: OrbitCountReport) -> dict:
-    count, binomials = _printed(G, report)
-    terms = [({} if t.q is None else {"q": t.q}) | {"m": t.m, "mu": t.mu, "binomial": s}
-             for t, s in zip(report.terms, binomials)]
-    return {"n": G.n, "a": G.a, "b": G.b, "l": report.l, "k": report.k,
-            "omega": report.omega, "count": count, "terms": terms, "method": method}
+def _class_json(G: CirculantGraph, report: OrbitCountReport, method: str) -> tuple[str, object]:
+    """report's JSON object, in json.dumps layout, and its count's exact value."""
+    count, exact, binomials = _printed(G, report)
+    omega = "null" if report.omega is None else report.omega
+    terms = ", ".join([("{" if t.q is None else f'{{"q": {t.q}, ')
+                       + f'"m": {t.m}, "mu": {t.mu}, "binomial": "{s}"}}'
+                       for t, s in zip(report.terms, binomials)])
+    return (f'{{"n": {G.n}, "a": {G.a}, "b": {G.b}, "l": {report.l}, "k": {report.k}, '
+            f'"omega": {omega}, "count": "{count}", "terms": [{terms}], '
+            f'"method": "{method}"}}'), exact
 
 
 def _write_plain(write: Callable[[str], object], G: CirculantGraph, report: OrbitCountReport,
-                 indent: str) -> str:
-    """Write report's lines; return its count's decimal."""
-    count, binomials = _printed(G, report)
+                 indent: str) -> object:
+    """Write report's lines; return its count's exact value."""
+    count, exact, binomials = _printed(G, report)
     write(f"{indent}l={report.l} k={report.k} omega={report.omega} count={count}\n")
     for t, s in zip(report.terms, binomials):
         q = f"q={t.q} " if t.q is not None else ""
         write(f"{indent}  {q}m={t.m} mu={t.mu:+d} binomial={s}\n")
-    return count
+    return exact
 
 
 def _cmd_count(args: argparse.Namespace, write: Callable[[str], object]) -> int:
@@ -132,7 +142,7 @@ def _cmd_count(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     if args.bcount is not None:
         report = counter(G, l, args.bcount)
         if args.format == "json":
-            write(json.dumps(_report_json(G, args.method, report)) + "\n")
+            write(_class_json(G, report, args.method)[0] + "\n")
         else:
             write(f"C_{G.n}({G.a},{G.b}) length {l} b-count {args.bcount} "
                   f"method {args.method}\n")
@@ -140,22 +150,20 @@ def _cmd_count(args: argparse.Namespace, write: Callable[[str], object]) -> int:
         return 0
     total, reports = count_orbits_l(G, l, counter)
     if args.format == "json":
-        classes = [_report_json(G, args.method, r) for r in reports]
-        obj: dict = {
-            "n": G.n, "a": G.a, "b": G.b, "l": l, "method": args.method,
-            "total": _assembled(total, [(1, c["count"]) for c in classes]),
-        }
-        if args.show_skipped:
-            obj["skipped_omegas"] = skipped_windings(G, l)
-        obj["classes"] = classes
-        write(json.dumps(obj) + "\n")
+        classes = [_class_json(G, r, args.method) for r in reports]
+        texts = [text for text, _ in classes]
+        total_text = _assembled(total, [(1, exact) for _, exact in classes])[0]
+        skipped = (f'"skipped_omegas": [{", ".join(map(str, skipped_windings(G, l)))}], '
+                   if args.show_skipped else "")
+        write(f'{{"n": {G.n}, "a": {G.a}, "b": {G.b}, "l": {l}, "method": "{args.method}", '
+              f'"total": "{total_text}", {skipped}"classes": [{", ".join(texts)}]}}\n')
     else:
         write(f"C_{G.n}({G.a},{G.b}) length {l} method {args.method}\n")
-        counts = [_write_plain(write, G, r, "  ") for r in reports]
+        values = [_write_plain(write, G, r, "  ") for r in reports]
         if args.show_skipped:
             skipped = ", ".join(str(w) for w in skipped_windings(G, l)) or "none"
             write(f"  skipped omegas: {skipped}\n")
-        write(f"total {_assembled(total, [(1, c) for c in counts])}\n")
+        write(f"total {_assembled(total, [(1, value) for value in values])[0]}\n")
     return 0
 
 

@@ -10,8 +10,9 @@ pytest, stopping at the first failure; the checkout is never edited.
 pytest runs with --assert=plain: a failing comparison of two long outputs is
 then reported at once, not after minutes of rendering their diff at every
 step of Hypothesis' shrinking. It fails if a fragment does not occur exactly
-once in its module, or if a mutant survives: its test modules pass, or fail
-in some other way than a failing test (exit code 1), such as an import error.
+once in its module, or if a mutant survives: its test modules pass, fail in
+some other way than a failing test (exit code 1), such as an import error, or
+are still running after TIMEOUT seconds.
 
 The unmutated tests must pass (tier-1 checks that), or every mutant looks
 killed. A change that moves or rewords a fragment must update its row.
@@ -104,7 +105,21 @@ MUTANTS = [
            "if x < 0:", ["tests/test_cli_pins.py"]),
     Mutant("assembled-unchecked", "cli.py", "if rest or count % _RESIDUE != value % _RESIDUE:",
            "if False:", ["tests/test_cli.py"]),
+    # count's JSON, written without json.dumps: an unreduced term loses its q
+    # key; an off-lattice omega is printed as None, not null; --show-skipped
+    # is dropped.
+    Mutant("count-json-drops-q", "cli.py", """("{" if t.q is None else f'{{"q": {t.q}, ')""",
+           '"{"', ["tests/test_cli.py"]),
+    Mutant("count-json-omega-none", "cli.py",
+           'omega = "null" if report.omega is None else report.omega', "omega = report.omega",
+           ["tests/test_cli.py"]),
+    Mutant("count-json-drops-skipped", "cli.py", 'if args.show_skipped else "")',
+           'if False else "")', ["tests/test_cli.py"]),
 ]
+
+# Seconds a row's pytest may run. The slowest row takes well under a minute; a
+# mutant that loops is stopped here and fails its row, since it was not killed.
+TIMEOUT = 600
 
 
 def outcome(mutant: Mutant) -> str:
@@ -120,9 +135,13 @@ def outcome(mutant: Mutant) -> str:
             return f"fragment occurs {source.count(mutant.fragment)} times in {mutant.module}"
         path.write_text(source.replace(mutant.fragment, mutant.replacement))
         env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "--assert=plain",
-                               "-p", "no:cacheprovider", *mutant.tests],
-                              cwd=tmp, env=env, capture_output=True, text=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "--assert=plain",
+                                   "-p", "no:cacheprovider", *mutant.tests],
+                                  cwd=tmp, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return f"survived (pytest still running after {TIMEOUT} s)"
         failed = [line.split()[1] for line in proc.stdout.splitlines()
                   if line.startswith("FAILED ")]
         if proc.returncode == 1 and failed:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import decimal
 import hashlib
 import inspect
 import io
@@ -27,6 +28,7 @@ from circorbits import (
 )
 from circorbits.cli import main
 from circorbits.errors import InvariantViolated
+from circorbits.lattice import skipped_windings
 from circorbits.words import DEFAULT_BUDGET, resolve_budget
 
 from brute import (
@@ -277,20 +279,90 @@ def test_a_count_is_not_assembled_from_a_wrong_binomial(term, off):
     # only the residue tells.
     with no_digit_limit():
         parts = [(t.mu, str(t.binomial)) for t in _BIG_REPORT.terms]
-        assert cli._assembled(_BIG_REPORT.count, parts, 440, 3600) == str(_BIG_REPORT.count)
+        text, exact = cli._assembled(_BIG_REPORT.count, parts, 440, 3600)
+        assert (text, exact) == (str(_BIG_REPORT.count), decimal.Decimal(_BIG_REPORT.count))
         parts[term] = (parts[term][0], str(_BIG_REPORT.terms[term].binomial + off))
     with pytest.raises(InvariantViolated, match="printed terms of a .*-bit count"):
         cli._assembled(_BIG_REPORT.count, parts, 440, 3600)
 
 
 def test_a_total_is_not_assembled_from_a_wrong_count():
-    # l = 1 leaves no remainder, so the residue is the whole check.
+    # A total is summed from its classes' exact values: Decimals past
+    # _SPLIT_BITS, ints below. l = 1 leaves no remainder, so the residue is
+    # the whole check.
     counts = [10**2000 + 7, 3 * 10**1999, 12345]
-    parts = [(1, str(c)) for c in counts]
-    assert cli._assembled(sum(counts), parts) == str(sum(counts))
-    parts[1] = (1, str(counts[1] + 1))
+    with no_digit_limit():
+        parts = [(1, cli._assembled(c, [(1, str(c))])[1]) for c in counts]
+        assert [type(x) for _, x in parts] == [decimal.Decimal, decimal.Decimal, int]
+        assert cli._assembled(sum(counts), parts) == (str(sum(counts)), sum(counts))
+        parts[1] = (1, decimal.Decimal(counts[1] + 1))  # exact, unlike + 1 at 28 digits
     with pytest.raises(InvariantViolated):
         cli._assembled(sum(counts), parts)
+
+
+def _old_count_line(G, l, k, method, show_skipped):
+    """A count line as json.dumps printed it from a dict, in the shape count built
+    before it wrote its lines directly."""
+    counter = (counting.count_orbits_lk_unreduced if method == "unreduced"
+               else counting.count_orbits_lk)
+
+    def as_dict(r):
+        terms = [({} if t.q is None else {"q": t.q})
+                 | {"m": t.m, "mu": t.mu, "binomial": str(t.binomial)} for t in r.terms]
+        return {"n": G.n, "a": G.a, "b": G.b, "l": r.l, "k": r.k, "omega": r.omega,
+                "count": str(r.count), "terms": terms, "method": method}
+
+    if k is not None:
+        return json.dumps(as_dict(counter(G, l, k)))
+    total, reports = counting.count_orbits_l(G, l, counter)
+    obj = {"n": G.n, "a": G.a, "b": G.b, "l": l, "method": method, "total": str(total)}
+    if show_skipped:
+        obj["skipped_omegas"] = skipped_windings(G, l)
+    obj["classes"] = [as_dict(r) for r in reports]
+    return json.dumps(obj)
+
+
+@st.composite
+def _count_requests(draw):
+    """(n, a, b, l, k or None, method, show_skipped) on a strongly connected C_n(a,b)."""
+    n = draw(st.integers(3, 40))
+    a = draw(st.integers(1, n - 2))
+    b = draw(st.integers(a + 1, n - 1).filter(lambda b: math.gcd(n, a, b) == 1))
+    l = draw(st.integers(1, 40))
+    k = draw(st.none() | st.integers(0, l))
+    return n, a, b, l, k, draw(st.sampled_from(["reduced", "unreduced"])), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_count_requests())
+@example((4, 1, 3, 3, None, "reduced", True))  # no class: "skipped_omegas": [1, 2], "classes": []
+@example((4, 1, 3, 4, None, "unreduced", True))  # "skipped_omegas": []
+@example((5, 1, 4, 3, 1, "reduced", False))  # off the lattice: "omega": null, "terms": []
+@example((5, 1, 4, 3, 1, "unreduced", False))  # off the lattice, refused
+@example((440, 5, 14, 360, 240, "unreduced", False))  # a q key on every term
+# Past cli._SPLIT_BITS: a 3297-bit class by each method; C_3(1,2)'s classes and
+# total at length 1700; the 9 classes and 221 terms of C_1000(5,318) at length 8000.
+@example((440, 5, 14, 3600, 2400, "reduced", False))
+@example((440, 5, 14, 3600, 2400, "unreduced", False))
+@example((3, 1, 2, 1700, None, "reduced", True))
+@example((1000, 5, 318, 8000, None, "unreduced", False))
+def test_count_lines_are_json_dumps_of_the_old_dicts(request):
+    n, a, b, l, k, method, show_skipped = request
+    argv = ["count", "--n", str(n), "--a", str(a), "--b", str(b), "--length", str(l),
+            "--method", method]
+    argv += ["--bcount", str(k)] if k is not None else []
+    argv += ["--show-skipped"] if show_skipped else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    with no_digit_limit():
+        try:
+            want = _old_count_line(CirculantGraph(n, a, b), l, k, method, show_skipped)
+        except ValueError:  # the unreduced count of a b-count off the lattice
+            assert (code, out.getvalue()) == (2, "")
+            return
+    assert (code, err.getvalue()) == (0, "")
+    assert first_difference(out.getvalue(), want + "\n") is None
 
 
 def test_lyndon_count_ignores_steps(capsys):

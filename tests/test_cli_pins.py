@@ -95,6 +95,12 @@ PINS = [
         "cbfe90613c7a8e2f57cc5ab228898bd76d91e3c221977b26302ca551771cbd95", ""),
     Pin("count-non-lattice-bcount", "count --n 5 --a 1 --b 4 --length 3 --bcount 1", 0,
         "f72d14a7eee1b98facc8a2de28497385a477f26d5d592afc140c364b1b41ef71", ""),
+    # C_4(1,3) at length 3 has no class, so its classes are [], and at length
+    # 4 no in-range winding number is skipped, so its skipped_omegas are [].
+    Pin("count-no-classes-skipped", "count --n 4 --a 1 --b 3 --length 3 --show-skipped", 0,
+        "c881156e22a8315864716d0d2a24884794ffab8067d799b7cc9c37abe2788c6e", ""),
+    Pin("count-none-skipped", "count --n 4 --a 1 --b 3 --length 4 --show-skipped", 0,
+        "944ab8415cbb8029f522e2ef28276c34268a922efe8d7f88a83689ac3b4f4675", ""),
     # The unreduced count of a gcd with 480 repetition blocks (720720 * 50000000021):
     # its 10,935 terms.
     Pin("count-480-blocks", "count --n 36036000015135120 --a 1 --b 2 --length 36036000015135120 "
@@ -119,6 +125,10 @@ PINS = [
     Pin("count-unreduced-plain-8000",
         "count --n 1000 --a 5 --b 318 --length 8000 --method unreduced --format plain", 0,
         "867c0e29a77087d1634f4585d7c32023feef305b1b88231939642ccfce613379", ""),
+    # Its JSON twin, recorded before count lines were written without json.dumps.
+    Pin("count-unreduced-json-8000",
+        "count --n 1000 --a 5 --b 318 --length 8000 --method unreduced", 0,
+        "caddb06c8a684079976c1843a3092fa7a71e44fc22c7f9728b82a121a8cc7820", ""),
     Pin("lyndon-count-20000", "lyndon count --length 20000 --bcount 10000", 0,
         "c68e05b84bdf3bc6a3b8637fcf8bfceaa64cc79695f701eaa3f6283332401e60", ""),
     # Past the tests' math.comb reach: the Moebius sum of C(10**6/m, 3*10**5/m),
