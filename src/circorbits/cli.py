@@ -25,8 +25,8 @@ Past `_SPLIT_BITS` bits, where `str`'s quadratic time shows, a class count is
 arithmetic, linear in their digits, and a total from its classes' exact
 values, which `_assembled` returns beside each decimal; a sum that leaves a
 remainder or disagrees with the library value mod 2**61 - 1 raises
-InvariantViolated. Those terms, and a Lyndon count past `_SPLIT_BITS` bits,
-are split at powers of ten by `_decimal`. Only such a count imports `decimal`.
+InvariantViolated. Every term and Lyndon count is printed by `_decimal`, which
+splits one past `_SPLIT_BITS` bits at powers of ten. Only `_assembled` imports `decimal`.
 
 A call whose first word names a subcommand is parsed by that subcommand's
 parser alone, built as the full parser builds it, so its help and usage errors
@@ -105,8 +105,6 @@ def _assembled(value: int, parts: Sequence[tuple[int, object]], n: int = 1,
 def _printed(G: CirculantGraph, report: OrbitCountReport) -> tuple[str, object, list[str]]:
     """The decimal and exact value of report's count, assembled as counting._finish
     sums, and the decimals of its binomials."""
-    if report.count.bit_length() <= _SPLIT_BITS:  # the terms are small too: str them all
-        return str(report.count), report.count, [str(t.binomial) for t in report.terms]
     binomials = [_decimal(t.binomial) for t in report.terms]
     parts = [(t.mu, s) for t, s in zip(report.terms, binomials)]
     return *_assembled(report.count, parts, G.n, report.l), binomials

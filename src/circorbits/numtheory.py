@@ -21,10 +21,10 @@ On that side y > sqrt(x), and the primes above y that divide C(x, y) are
 the runs ((x-y)//j, x//j] of the sieve, j = 1, 2, ... Each run is taken as
 the aligned nodes of a product tree over the sieve's primes: node (h, t) is
 the product of primes[t << h:(t + 1) << h], formed by one `_product` the first
-time a run needs it and kept in the dict `_nodes` returns for that bound. So
-a run costs O(log) lookups once its nodes exist. Only the nodes some run
-formed are held: at each height they are disjoint, so a bound holds at most
-(tree height) times the bits of the product of its primes.
+time a run needs it and kept by the cached `_node`. So a run costs O(log)
+lookups once its nodes exist. Only the nodes some run formed are held: at
+each height they are disjoint, so a bound holds at most (tree height) times
+the bits of the product of its primes.
 """
 
 from __future__ import annotations
@@ -86,12 +86,12 @@ def _product(factors: list[int]) -> int:
 
 
 @cache
-def _nodes(bits: int) -> dict[tuple[int, int], int]:
-    """The product-tree nodes formed so far over _primes_below(1 << bits), by (h, t)."""
-    return {}
+def _node(bits: int, h: int, t: int) -> int:
+    """The product-tree node (h, t) over _primes_below(1 << bits), formed once."""
+    return _product(_primes_below(1 << bits)[t << h:(t + 1) << h])
 
 
-def _run_into(factors: list[int], primes: list[int], nodes: dict, lo: int, hi: int) -> None:
+def _run_into(factors: list[int], primes: list[int], bits: int, lo: int, hi: int) -> None:
     """Append the product of primes[lo:hi], 0 < lo, to factors as its aligned nodes.
 
     Each step takes the largest node (h, lo >> h) that starts at lo and ends
@@ -99,13 +99,7 @@ def _run_into(factors: list[int], primes: list[int], nodes: dict, lo: int, hi: i
     """
     while lo < hi:
         h = min((lo & -lo).bit_length(), (hi - lo).bit_length()) - 1
-        if h:
-            node = nodes.get((h, lo >> h))
-            if node is None:
-                node = nodes[h, lo >> h] = _product(primes[lo:lo + (1 << h)])
-            factors.append(node)
-        else:
-            factors.append(primes[lo])
+        factors.append(_node(bits, h, lo >> h) if h else primes[lo])
         lo += 1 << h
 
 
@@ -130,13 +124,12 @@ def binomial(x: int, y: int) -> int:
     if y < 400 or y * x.bit_length() < x:
         return math.comb(x, y)
     primes = _primes_below(1 << x.bit_length())
-    nodes = _nodes(x.bit_length())
     root = bisect_right(primes, math.isqrt(x))
     top = bisect_right(primes, y)
     factors = [p for p in primes[root:top] if x % p < y % p]
     for j in range(1, x // (y + 1) + 1):
         lo = max(bisect_right(primes, (x - y) // j), top)
-        _run_into(factors, primes, nodes, lo, bisect_right(primes, x // j))
+        _run_into(factors, primes, x.bit_length(), lo, bisect_right(primes, x // j))
     for p in primes[:root]:
         e = 0
         q = p

@@ -282,18 +282,19 @@ def closed_walks_binomial(n, a, b, l):
     return n * total
 
 
-def closed_walks_polynomial(n, a, b, l):
+def closed_walks_polynomial(n, a, b, l, p=None):
     """tr(A^l) of C_n(a, b) without binomials, by repeated squaring.
 
-    It is n times the x^0 coefficient of (x^a + x^b)^l mod (x^n - 1).
+    It is n times the x^0 coefficient of (x^a + x^b)^l mod (x^n - 1), and
+    its coefficients are kept below p when a modulus p is given.
     """
-    def mul(p, q):
+    def mul(u, v):
         out = [0] * n
-        for i, pi in enumerate(p):
-            if pi:
-                for j, qj in enumerate(q):
-                    out[(i + j) % n] += pi * qj
-        return out
+        for i, ui in enumerate(u):
+            if ui:
+                for j, vj in enumerate(v):
+                    out[(i + j) % n] += ui * vj
+        return out if p is None else [c % p for c in out]
 
     power = [1] + [0] * (n - 1)
     base = [0] * n
@@ -305,3 +306,15 @@ def closed_walks_polynomial(n, a, b, l):
         base = mul(base, base)
         l >>= 1
     return n * power[0]
+
+
+def closed_walks_mod(n, a, b, l, p=2**61 - 1):
+    """The primitive orbits of length l on C_n(a, b), mod the prime p > l, from closed walks.
+
+    Each closed walk of length l winds round a primitive orbit of some length
+    d | l, so the count is (1/l) * sum(mu(l/d) * tr(A^d) for d | l), with
+    tr(A^d) mod p from closed_walks_polynomial: divisors of l, not the Moebius
+    sum over gcd(l, k, omega) that the formula takes.
+    """
+    total = sum(naive_mu(l // d) * closed_walks_polynomial(n, a, b, d, p) for d in naive_divisors(l))
+    return total * pow(l, -1, p) % p

@@ -83,6 +83,10 @@ MUTANTS = [
            ["tests/test_numtheory.py"]),
     Mutant("residue-in-16-bits", "numtheory.py", "if x % p < y % p]", "if x % p < y % p & 65535]",
            ["tests/test_numtheory.py"]),
+    # A product-tree node of height h holds 2**h primes; cut one prime short,
+    # every run that takes the node loses its last prime.
+    Mutant("node-one-prime-short", "numtheory.py", "[t << h:(t + 1) << h])",
+           "[t << h:((t + 1) << h) - 1])", ["tests/test_numtheory.py"]),
     # divisors reads the blocks of omega = 1, each q once at m = 1; unfiltered,
     # a q is listed once per squarefree m | gamma/q.
     Mutant("divisors-every-block", "numtheory.py", " if s == 1]", "]",

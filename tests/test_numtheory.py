@@ -189,23 +189,25 @@ def test_binomial_at_powers_of_two_rising_then_falling():
 
 
 def _sieves(*calls):
-    """Clear the sieve cache, run binomial on each (x, y) and return (hits, misses)."""
+    """Clear the sieve cache, run binomial on each (x, y) and return (misses, currsize)."""
     numtheory._primes_below.cache_clear()
     for x, y in calls:
         assert binomial(x, y) == math.comb(x, y)
-    return numtheory._primes_below.cache_info()[:2]
+    info = numtheory._primes_below.cache_info()
+    return info.misses, info.currsize
 
 
 def test_binomial_method_follows_the_size_rule():
     # The math.comb side: y < 400, or y * x.bit_length() < x.
     assert _sieves((800, 399), (5000, 399), (14001, 1000), (14000, 13001)) == (0, 0)
     # The Legendre side: one sieve per power of two above x.
-    assert _sieves((800, 400)) == (0, 1)
-    assert _sieves((800, 400), (14000, 1000)) == (0, 2)
+    assert _sieves((800, 400)) == (1, 1)
+    assert _sieves((800, 400), (14000, 1000)) == (2, 2)
 
 
 def test_binomial_sieve_grows_and_is_reused():
-    # 6000 and 7000 share the bound 8192, 1200 gets 2048, 25000 and 30000 share 32768.
+    # 6000 and 7000 share the bound 8192, 1200 gets 2048, 25000 and 30000 share 32768:
+    # six calls build three sieves, one per bound.
     assert _sieves((6000, 2500), (7000, 3000), (1200, 700), (25000, 12345),
                    (30000, 15000), (6500, 3000)) == (3, 3)
     held = numtheory._primes_below(8192)
@@ -220,9 +222,9 @@ def test_binomial_small_y_with_huge_x_builds_no_sieve():
 
 
 def test_binomial_small_y_with_huge_x_builds_no_node():
-    numtheory._nodes.cache_clear()
+    numtheory._node.cache_clear()
     assert _sieves((10**9, 500)) == (0, 0)
-    assert numtheory._nodes.cache_info().currsize == 0
+    assert numtheory._node.cache_info()[:2] == (0, 0)
 
 
 def _least_prime_from(v):
@@ -261,27 +263,30 @@ _SAME_BOUND = [(12000, 2000), (12010, 2000), (12000, 2010), (16000, 5000), (9000
 
 def test_binomial_does_not_depend_on_call_order():
     for order in (_SAME_BOUND, _SAME_BOUND[::-1], _SAME_BOUND[1::2] + _SAME_BOUND[::2]):
-        numtheory._nodes.cache_clear()
+        numtheory._node.cache_clear()
         assert [binomial(x, y) for x, y in order] == [math.comb(x, y) for x, y in order]
 
 
 def test_binomial_forms_each_node_once(monkeypatch):
-    numtheory._nodes.cache_clear()
-    assert binomial(12000, 2000) == math.comb(12000, 2000)
-    first = dict(numtheory._nodes(14))
+    numtheory._node.cache_clear()
     products = []
     product = numtheory._product
     monkeypatch.setattr(numtheory, "_product", lambda factors: products.append(factors) or
                         product(factors))
-    assert binomial(12010, 2000) == math.comb(12010, 2000)
-    nodes = numtheory._nodes(14)
-    # The first call's nodes are all held, as the same objects; every _product call
-    # but the last (the result's) formed one of the new ones.
-    assert all(nodes[key] is node for key, node in first.items())
-    assert len(products) - 1 == len(nodes) - len(first) > 0
+    # Every _product call but the last (the result's) forms one node, which the
+    # cache then holds; a later call forms only the nodes not yet held.
+    assert binomial(12000, 2000) == math.comb(12000, 2000)
+    first = numtheory._node.cache_info()
+    assert len(products) - 1 == first.misses == first.currsize > 0
     products.clear()
     assert binomial(12010, 2000) == math.comb(12010, 2000)
-    assert len(products) == 1 and numtheory._nodes(14) == nodes
+    second = numtheory._node.cache_info()
+    assert len(products) - 1 == second.misses - first.misses > 0
+    assert second.currsize == second.misses and second.hits > first.hits
+    products.clear()
+    assert binomial(12010, 2000) == math.comb(12010, 2000)
+    third = numtheory._node.cache_info()
+    assert len(products) == 1 and third[1:] == second[1:] and third.hits > second.hits
 
 
 _NEAR_2_16 = [65479, 65497, 65519, 65521, 65537, 65539, 65543, 65551, 65557, 65563]
