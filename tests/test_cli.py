@@ -61,6 +61,50 @@ def first_difference(got: str, want: str) -> tuple[int, str, str] | None:
     return got.count("\n", 0, i) + 1, got[i:i + 60], want[i:i + 60]
 
 
+def test_count_headline(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
+                           "--length", "15")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["total"] == "3822"
+    assert [(c["k"], c["omega"], c["count"]) for c in obj["classes"]] == [
+        (4, 4, "1911"),
+        (11, 6, "1911"),
+    ]
+
+
+def test_count_json_round_trips(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
+                           "--length", "15", "--show-skipped")
+    assert code == 0
+    assert json.dumps(json.loads(out)) == out.strip()
+    assert json.loads(out)["skipped_omegas"] == [3, 5, 7]
+
+
+def test_count_plain_format(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "21", "--a", "4", "--b", "10",
+                           "--length", "15", "--format", "plain", "--show-skipped")
+    assert code == 0
+    assert "total 3822" in out
+    assert "skipped omegas: 3, 5, 7" in out
+
+
+def test_count_methods_agree_on_big_class(capsys):
+    args = ("count", "--n", "440", "--a", "5", "--b", "14",
+            "--length", "360", "--bcount", "240")
+    code, out_red, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, out_unred, _ = run_cli(capsys, *args, "--method", "unreduced")
+    assert code == 0
+    red = json.loads(out_red)
+    unred = json.loads(out_unred)
+    assert red["count"] == unred["count"]
+    expected = 440 * (math.comb(360, 240) - math.comb(120, 80)) // 360
+    assert red["count"] == str(expected)
+    assert sorted({t["q"] for t in unred["terms"]}) == [1, 2, 4, 5, 8, 10, 20, 40]
+    assert all("q" not in t for t in red["terms"])
+
+
 def test_count_total_equals_class_sum(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "13", "--a", "2", "--b", "7",
                            "--length", "12")
@@ -106,6 +150,25 @@ def test_full_length_count_maps_a_counter_value_error_to_exit_2(capsys, monkeypa
     assert (code, out, err) == (2, "", "error: counter refused\n")
 
 
+def test_count_non_lattice_point_reports_zero(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "5", "--a", "1", "--b", "4",
+                           "--length", "3", "--bcount", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["count"] == "0"
+    assert obj["omega"] is None
+    assert obj["terms"] == []
+
+
+def test_lattice_csv(capsys):
+    code, out, _ = run_cli(capsys, "lattice", "--n", "21", "--a", "4", "--b", "10",
+                           "--lmax", "15", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "l,k,omega"
+    assert "15,4,4" in lines and "15,11,6" in lines
+
+
 def test_lattice_json(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--n", "7", "--a", "1", "--b", "3",
                            "--lmax", "7")
@@ -117,6 +180,20 @@ def test_lattice_json(capsys):
     }
     assert {"l": 3, "k": 2, "omega": 1} in obj["points"]
     assert json.dumps(obj) == out.strip()
+
+
+def test_lyndon_count_and_list(capsys):
+    code, out, _ = run_cli(capsys, "lyndon", "count", "--length", "9", "--bcount", "3")
+    assert code == 0
+    assert out.strip() == "9"
+
+    code, out, _ = run_cli(capsys, "lyndon", "list", "--length", "9", "--bcount", "3",
+                           "--steps", "9,1,4")
+    assert code == 0
+    assert out.split() == [
+        "111111444", "111114144", "111114414", "111141144", "111141414",
+        "111144114", "111411144", "111411414", "111414114",
+    ]
 
 
 def _moebius_comb_sum(l, k, g):
@@ -391,6 +468,20 @@ def test_invariant_violation_exits_5(capsys, monkeypatch):
                    "--bcount", "4") == (
         5, "", "error: invariant violated: count formula non-integral or negative for "
                "C_21(4,10), l=15, k=4\n")
+
+
+def test_enumerate_primitive_class(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "9", "--a", "1", "--b", "4",
+                           "--length", "9", "--bcount", "3", "--primitive-only")
+    assert code == 0
+    lines = out.strip().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary == {"orbits": 84, "primitive": 84, "nonprimitive": 0}
+    orbit_lines = lines[:-1]
+    assert len(orbit_lines) == 84
+    first = json.loads(orbit_lines[0])
+    assert set(first) == {"start", "steps", "l", "k", "omega", "repetition"}
+    assert all(json.dumps(json.loads(line)) == line for line in lines)
 
 
 def test_enumerate_empty_length(capsys):

@@ -158,6 +158,13 @@ def test_count_equals_lyndon_bijection_sum():
                 assert count_orbits_lk(G, c.l, c.k).count == expected, (G, c)
 
 
+def test_totals_decompose_over_classes():
+    for G in connected_graphs(10):
+        for l in range(1, 13):
+            total, reports = count_orbits_l(G, l)
+            assert total == sum(r.count for r in reports)
+
+
 def test_sum_reduction_examples():
     f = {t: binomial(360 // t, 240 // t) for t in divisors(120)}
     lhs, rhs = sum_reduction_check(120, 9, f)

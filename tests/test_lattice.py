@@ -157,6 +157,15 @@ def test_bcounts_for_length_equals_the_bcount_scan():
             assert bcounts_for_length(G, l) == expected, (G, l)
 
 
+def test_every_class_has_winding_divisible_by_g():
+    for G in (CirculantGraph(21, 4, 10), CirculantGraph(12, 2, 5), CirculantGraph(15, 3, 9)):
+        if not G.is_strongly_connected():
+            continue
+        for c in lattice_points(G, 40):
+            assert c.omega % G.g == 0
+            assert c.l * G.a + c.k * G.d == c.omega * G.n
+
+
 def test_coordinate_round_trip_on_lattice_points():
     for G in (CirculantGraph(7, 1, 3), CirculantGraph(21, 4, 10), CirculantGraph(9, 1, 4)):
         B = basis(G)

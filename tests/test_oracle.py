@@ -162,6 +162,21 @@ def test_enumerate_validates_arguments():
         enumerate_orbits(G, 4, 5)
 
 
+def test_phi_injective_on_lyndon_pairs():
+    # distinct (Lyndon word, start vertex) pairs give distinct orbits
+    for n in range(3, 10):
+        for a in range(1, n - 1):
+            for b in range(a + 1, n):
+                G = CirculantGraph(n, a, b)
+                if not G.is_strongly_connected():
+                    continue
+                for l in range(1, 11):
+                    for c in bcounts_for_length(G, l):
+                        pairs = [(w, v) for w in list_lyndon(c.l, c.k) for v in range(n)]
+                        images = {phi(G, w, v) for w, v in pairs}
+                        assert len(images) == len(pairs), (G, c)
+
+
 def test_phi_bijective_on_repetition_blocks():
     # powers of Lyndon words with repetition coprime to the winding number,
     # based at the reduced vertex set, hit every primitive orbit exactly once

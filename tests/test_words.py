@@ -114,6 +114,19 @@ def test_count_nonprimitive_charges_the_factorisation_when_k_is_0_or_l(monkeypat
     assert count_nonprimitive(121, k) == 1
 
 
+def test_word_count_identity_up_to_40():
+    # l * (Lyndon count) + (nonprimitive count) accounts for every word
+    for l in range(1, 41):
+        for k in range(l + 1):
+            assert l * count_lyndon(l, k) + count_nonprimitive(l, k) == math.comb(l, k)
+
+
+def test_nonprimitive_counts_match_direct_generation_up_to_18():
+    for l in range(1, 19):
+        for k in range(l + 1):
+            assert count_nonprimitive(l, k) == count_nonprimitive_direct(l, k), (l, k)
+
+
 def test_lyndon_totals_match_classical_necklace_formula():
     for l in range(1, 31):
         assert sum(count_lyndon(l, k) for k in range(l + 1)) == necklace_lyndon_total(l)
